@@ -81,6 +81,22 @@ class _UsageError(ValueError):
     pass
 
 
+def _check_run_args(args, methods: set) -> None:
+    """Reject run arguments the engines cannot use, before any setup."""
+    if args.t_max < 0 or (args.t_max == 0 and methods != {"rk4"}):
+        raise _UsageError(f"--t-max must be > 0 (or 0 for rk4 alone), got {args.t_max}")
+    if "dilation" in methods and args.n_cycles < 1:
+        raise _UsageError(f"--n-cycles must be >= 1, got {args.n_cycles}")
+    if "rk4" in methods and args.stride < 1:
+        raise _UsageError(f"--stride must be >= 1, got {args.stride}")
+    if methods & {"rk4", "exact"}:
+        if args.dt <= 0:
+            raise _UsageError(f"--dt must be > 0, got {args.dt}")
+        n_steps = int(round(args.t_max / args.dt))
+        if abs(n_steps * args.dt - args.t_max) > 1e-9 * max(1.0, args.t_max):
+            raise _UsageError(f"--t-max {args.t_max} is not a whole number of --dt {args.dt} steps")
+
+
 def _build_setup(args):
     """Shared build path for the dynamical subcommands."""
     spec = _spec_from(args, dynamics=True)
@@ -110,10 +126,7 @@ def _run_method(args, method, ops, lop, spec, bath):
             pair_count=ops.pair_count, electric_square=ops.electric_square,
         )
     if method == "exact":
-        n_points = int(round(args.t_max / args.dt))
-        if abs(n_points * args.dt - args.t_max) > 1e-9 * max(1.0, args.t_max):
-            raise _UsageError(f"t_max {args.t_max} is not a whole number of dt {args.dt} grid steps")
-        times = np.arange(n_points + 1) * args.dt
+        times = np.arange(int(round(args.t_max / args.dt)) + 1) * args.dt
         return exact_evolve(
             rho0, ops.hamiltonian, lop, times,
             pair_count=ops.pair_count, electric_square=ops.electric_square,
@@ -228,6 +241,9 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _check_run_args(args, {args.method})
+    if args.dump_unitaries and args.method != "dilation":
+        raise _UsageError("--dump-unitaries only applies to the dilation method")
     spec, params, bath, sector, ops, lop = _build_setup(args)
     t0 = time.perf_counter()
     record = _run_method(args, args.method, ops, lop, spec, bath)
@@ -240,8 +256,6 @@ def cmd_evolve(args) -> int:
         f"{len(record.times)} rows, {elapsed:.2f}s"
     )
     if args.dump_unitaries:
-        if args.method != "dilation":
-            raise _UsageError("--dump-unitaries only applies to the dilation method")
         dt_cycle = args.t_max / args.n_cycles
         j_op = build_dilation_hamiltonian(lop)
         tag = ops.hamiltonian.basis_tag
@@ -269,6 +283,7 @@ def cmd_gibbs(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_run_args(args, {args.method_a, args.method_b})
     spec, params, bath, sector, ops, lop = _build_setup(args)
     records = {}
     for side, method in (("a", args.method_a), ("b", args.method_b)):
@@ -302,11 +317,14 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     sites = args.sites
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if min(sites) < 1:
+        raise _UsageError(f"--sites must all be >= 1, got {min(sites)}")
     tail_frac = args.tail_frac
     if not 0.0 < tail_frac < 1.0:
         raise _UsageError(f"--tail-frac must be in (0, 1), got {tail_frac}")
+    _check_run_args(args, {args.method})
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"method": args.method, "t_max": args.t_max, "tail_frac": tail_frac, "runs": []}
     thermal_values = []
     records = []

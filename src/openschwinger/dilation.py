@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import DensityMatrix, EvolutionRecord, _matrix_of, _record_point
+from .lindblad import DensityMatrix, EvolutionRecord, _matrix_of, _run_trajectory
 
 __all__ = [
     "build_dilation_hamiltonian",
@@ -26,6 +26,9 @@ __all__ = [
     "dilation_cycle",
     "dilation_evolve",
 ]
+
+# every cycle is an exact CPTP map, so each recorded state is held this tight
+CYCLE_TOLERANCES = {"trace_tol": 1e-12, "herm_tol": 1e-10, "psd_tol": 1e-10}
 
 
 def build_dilation_hamiltonian(lindblad_op) -> np.ndarray:
@@ -66,7 +69,7 @@ def cycle_propagator(hamiltonian, lindblad_op, dt: float) -> np.ndarray:
 
 def dilation_cycle(rho, w: np.ndarray) -> DensityMatrix:
     """Apply one precomputed cycle: trace the ancilla out of W rho W+."""
-    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    r = _matrix_of(rho)
     dim = r.shape[0]
     m = w @ r @ w.conj().T
     return DensityMatrix(m[:dim, :dim] + m[dim:, dim:])
@@ -81,39 +84,19 @@ def dilation_evolve(
     *,
     pair_count,
     electric_square,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-10,
 ) -> EvolutionRecord:
     """Run n_cycles dilation cycles of length t_max / n_cycles.
 
-    The state is validated after every cycle (trace to ``trace_tol``,
-    positivity to ``psd_tol``); the returned record samples every cycle
-    boundary including t=0.
+    The state after every cycle is checked against ``CYCLE_TOLERANCES``
+    (trace to 1e-12, positivity to 1e-10); the returned record samples every
+    cycle boundary including t=0.
     """
     if n_cycles < 1:
         raise ValueError(f"need at least one cycle, got {n_cycles}")
     dt = t_max / n_cycles
     w = cycle_propagator(hamiltonian, lindblad_op, dt)
-    pairs_mat = _matrix_of(pair_count)
-    e2_mat = _matrix_of(electric_square)
-
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    rho = rho.astype(complex)
-    rows = []
-    max_herm = 0.0
-    for k in range(n_cycles + 1):
-        if k > 0:
-            rho = dilation_cycle(rho, w).validate(
-                trace_tol=trace_tol, herm_tol=1e-10, psd_tol=psd_tol
-            ).matrix
-        n_val, e_val, tr, purity, herm, mn = _record_point(
-            rho, None, None, pairs_mat, e2_mat
-        )
-        max_herm = max(max_herm, herm)
-        rows.append((k * dt, n_val, e_val, tr, purity, mn))
-    data = np.array(rows)
-    return EvolutionRecord(
-        times=data[:, 0], n_pairs=data[:, 1], e2=data[:, 2],
-        trace=data[:, 3], purity=data[:, 4], min_eig=data[:, 5],
-        max_hermiticity_error=max_herm,
+    return _run_trajectory(
+        _matrix_of(rho0).astype(complex), lambda rho, k: dilation_cycle(rho, w).matrix,
+        lambda rho: rho, np.arange(n_cycles + 1) * dt,
+        pair_count=pair_count, electric_square=electric_square, tolerances=CYCLE_TOLERANCES,
     )

@@ -14,9 +14,11 @@ The subleading correction to the system Hamiltonian that accompanies this
 expansion is dropped.  D is a dimensionless coupling strength and T = 1/beta
 the bath temperature.
 
-Three ways to evolve:
+Three ways to evolve, each a step closure run by one trajectory driver; the
+recorded observables must be diagonal in the sector basis:
 
-* ``rk4_evolve``      fixed-step classical integrator, any sector size
+* ``rk4_evolve``      fixed-step classical integrator, any sector size; needs
+                      real H and L, takes any Hermitian rho0
 * ``exact_evolve``    matrix exponential of the vectorized generator,
                       small sectors only (the superoperator is dim^2 x dim^2)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
@@ -64,7 +66,7 @@ LIOUVILLIAN_MAX_DIM_SQ = 1_000_000
 
 
 def _matrix_of(op) -> np.ndarray:
-    return op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
+    return op.matrix if isinstance(op, (HermitianOperator, DensityMatrix)) else np.asarray(op)
 
 
 @dataclass(frozen=True)
@@ -123,12 +125,10 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(herm)[0])
 
     def validate(self, trace_tol=1e-9, herm_tol=1e-10, psd_tol=1e-7) -> "DensityMatrix":
-        if abs(self.trace - 1.0) > trace_tol:
-            raise ValueError(f"trace {self.trace!r} deviates from 1 by more than {trace_tol}")
-        if self.hermiticity_error > herm_tol:
-            raise ValueError(f"hermiticity error {self.hermiticity_error:.3e} > {herm_tol}")
-        if self.min_eigenvalue < -psd_tol:
-            raise ValueError(f"minimum eigenvalue {self.min_eigenvalue:.3e} < -{psd_tol}")
+        _check_invariants(
+            self.trace, self.hermiticity_error, self.min_eigenvalue,
+            trace_tol=trace_tol, herm_tol=herm_tol, psd_tol=psd_tol,
+        )
         return self
 
     @classmethod
@@ -138,9 +138,18 @@ class DensityMatrix:
         return cls(rho)
 
 
+def _check_invariants(trace, herm, min_eig, *, trace_tol, herm_tol, psd_tol) -> None:
+    if abs(trace - 1.0) > trace_tol:
+        raise ValueError(f"trace {trace!r} deviates from 1 by more than {trace_tol}")
+    if herm > herm_tol:
+        raise ValueError(f"hermiticity error {herm:.3e} > {herm_tol}")
+    if min_eig < -psd_tol:
+        raise ValueError(f"minimum eigenvalue {min_eig:.3e} < -{psd_tol}")
+
+
 def expectation(rho, op, imag_tol: float = 1e-10) -> float:
     """Re tr(rho A) for Hermitian A, insisting the imaginary part is noise."""
-    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    r = _matrix_of(rho)
     a = _matrix_of(op)
     val = complex(np.einsum("ij,ji->", a, r))
     if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
@@ -190,8 +199,8 @@ class EvolutionRecord:
         lines = [ln for ln in text.strip().splitlines() if ln]
         if lines[0] != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-        return cls(*(data[:, k] for k in range(6)))
+        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(-1, 6)
+        return cls(*data.T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -264,26 +273,66 @@ def vectorized_liouvillian(hamiltonian, lindblad_op) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# RK4 integration
+# trajectory driver
 # ---------------------------------------------------------------------------
 
-def _rhs_complex_factory(h, lop):
-    g = lop.conj().T @ lop
-    h_eff = h - 0.5j * g  # -i(H_eff rho - rho H_eff+) reproduces commutator + anticommutator
+def _diagonal_of(op, name: str) -> np.ndarray:
+    m = _matrix_of(op)
+    diag = np.diagonal(m)
+    if np.count_nonzero(m - np.diag(diag)):
+        raise ValueError(f"{name} must be diagonal in the sector basis")
+    return np.real(diag).copy()
 
-    def rhs(rho):
-        m = h_eff @ rho
-        return -1j * (m - m.conj().T) + lop @ rho @ lop.conj().T
 
-    return rhs
+def _run_trajectory(
+    state, step, density, times, *, pair_count, electric_square, stride=1, tolerances=None
+) -> EvolutionRecord:
+    """The one record loop behind every engine.
 
+    ``step(state, k)`` advances the engine state to ``times[k]`` and
+    ``density(state)`` returns its density matrix.  Step 0 (the initial state),
+    every ``stride``-th step and the last step are recorded from a single
+    diagnostics pass.  With ``tolerances`` (``validate`` keyword arguments)
+    every recorded row after the initial one is checked against them.
+    """
+    pairs_diag = _diagonal_of(pair_count, "pair_count")
+    e2_diag = _diagonal_of(electric_square, "electric_square")
+    n_steps = len(times) - 1
+    rows = []
+    max_herm = 0.0
+    for k in range(n_steps + 1):
+        if k > 0:
+            state = step(state, k)
+        if k % stride and k != n_steps:
+            continue
+        rho = density(state)
+        tr = float(np.trace(rho).real)
+        herm = float(np.max(np.abs(rho - rho.conj().T)))
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        if tolerances is not None and k > 0:
+            _check_invariants(tr, herm, min_eig, **tolerances)
+        max_herm = max(max_herm, herm)
+        rows.append((
+            times[k],
+            float(np.real(np.sum(pairs_diag * np.diagonal(rho)))),
+            float(np.real(np.sum(e2_diag * np.diagonal(rho)))),
+            tr,
+            float(np.einsum("ij,ji->", rho, rho).real),
+            min_eig,
+        ))
+    return EvolutionRecord(*np.array(rows).T, max_hermiticity_error=max_herm)
+
+
+# ---------------------------------------------------------------------------
+# RK4 integration
+# ---------------------------------------------------------------------------
 
 def _rhs_real_pair_factory(h, lop):
     """RHS on (X, Y) with rho = X + iY, X symmetric, Y antisymmetric.
 
-    All eight products are real GEMMs, about 1.5x cheaper in flops than the
-    complex path and measurably faster in practice; transposition identities
-    for symmetric/antisymmetric operands halve the commutator work.
+    All eight products are real GEMMs, about 1.5x cheaper in flops than
+    complex arithmetic; transposition identities for symmetric/antisymmetric
+    operands halve the commutator work.
     """
     g = lop.T @ lop
 
@@ -301,18 +350,11 @@ def _rhs_real_pair_factory(h, lop):
     return rhs
 
 
-def _record_point(rho, pairs_diag, e2_diag, pairs_mat, e2_mat):
-    if pairs_diag is not None:
-        n_val = float(np.real(np.sum(pairs_diag * np.diagonal(rho))))
-        e_val = float(np.real(np.sum(e2_diag * np.diagonal(rho))))
-    else:
-        n_val = float(np.einsum("ij,ji->", pairs_mat, rho).real)
-        e_val = float(np.einsum("ij,ji->", e2_mat, rho).real)
-    tr = float(np.trace(rho).real)
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    return n_val, e_val, tr, purity, herm, min_eig
+def _real_matrix_of(op, name: str) -> np.ndarray:
+    m = _matrix_of(op)
+    if np.iscomplexobj(m) and np.any(m.imag):
+        raise ValueError(f"rk4_evolve needs a real {name}; got a nonzero imaginary part")
+    return np.ascontiguousarray(m.real, dtype=float)
 
 
 def rk4_evolve(
@@ -330,9 +372,8 @@ def rk4_evolve(
 
     Records every ``stride``-th step (plus t=0 and the final step).  The trace
     is monitored every step and the run aborts if it leaves 1 by more than
-    ``TRACE_ABORT_TOL`` or turns non-finite.  When H, L, and rho0 are all
-    real the stepping runs on the real/imaginary parts separately; the result
-    is identical to the complex path up to rounding.
+    ``TRACE_ABORT_TOL`` or turns non-finite.  H and L must be real; the
+    Hermitian rho0 = X + iY is stepped as the real pair (X, Y).
 
     The state is projected back onto the Hermitian subspace after every step.
     The flow preserves Hermiticity exactly, but the update formulas rely on it,
@@ -340,9 +381,8 @@ def rk4_evolve(
     exp(+||L||^2 t) that rounding noise would otherwise seed; the projection
     pins that component at machine epsilon for the cost of one transpose.
     """
-    h = _matrix_of(hamiltonian)
-    lop = _matrix_of(lindblad_op)
-    rho0 = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    h = _real_matrix_of(hamiltonian, "hamiltonian")
+    lop = _real_matrix_of(lindblad_op, "lindblad_op")
     if dt <= 0 or t_max < 0:
         raise ValueError("need dt > 0 and t_max >= 0")
     if stride < 1:
@@ -350,79 +390,31 @@ def rk4_evolve(
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"t_max {t_max} is not a whole number of steps of dt {dt}")
+    rhs = _rhs_real_pair_factory(h, lop)
 
-    pairs_mat = _matrix_of(pair_count)
-    e2_mat = _matrix_of(electric_square)
-    diag_only = (
-        np.count_nonzero(pairs_mat - np.diag(np.diagonal(pairs_mat))) == 0
-        and np.count_nonzero(e2_mat - np.diag(np.diagonal(e2_mat))) == 0
-    )
-    pairs_diag = np.real(np.diagonal(pairs_mat)).copy() if diag_only else None
-    e2_diag = np.real(np.diagonal(e2_mat)).copy() if diag_only else None
+    def step(state, k):
+        x, y = state
+        k1x, k1y = rhs(x, y)
+        k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
+        k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
+        k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
+        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        x = 0.5 * (x + x.T)
+        y = 0.5 * (y - y.T)
+        tr = float(np.trace(x))
+        if not np.isfinite(tr) or abs(tr - 1.0) > TRACE_ABORT_TOL:
+            raise RuntimeError(
+                f"rk4 aborted at t={k * dt:.6g}: trace deviated to {tr!r} "
+                f"(tolerance {TRACE_ABORT_TOL}); reduce dt"
+            )
+        return x, y
 
-    rho0_real = not np.iscomplexobj(rho0) or not np.any(np.asarray(rho0).imag)
-    use_real = np.isrealobj(h) and np.isrealobj(lop) and rho0_real
-
-    rows = []
-    max_herm = 0.0
-
-    def record(k, rho):
-        nonlocal max_herm
-        n_val, e_val, tr, purity, herm, mn = _record_point(
-            rho, pairs_diag, e2_diag, pairs_mat, e2_mat
-        )
-        max_herm = max(max_herm, herm)
-        rows.append((k * dt, n_val, e_val, tr, purity, mn))
-
-    if use_real:
-        x = np.ascontiguousarray(np.real(rho0), dtype=float)
-        y = np.ascontiguousarray(np.imag(rho0), dtype=float)
-        rhs = _rhs_real_pair_factory(h.astype(float, copy=False), lop.astype(float, copy=False))
-        record(0, x + 1j * y)
-        for k in range(1, n_steps + 1):
-            k1x, k1y = rhs(x, y)
-            k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-            k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-            k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
-            x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            y = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            x = 0.5 * (x + x.T)
-            y = 0.5 * (y - y.T)
-            tr = float(np.trace(x))
-            if not np.isfinite(tr) or abs(tr - 1.0) > TRACE_ABORT_TOL:
-                raise RuntimeError(
-                    f"rk4 aborted at t={k * dt:.6g}: trace deviated to {tr!r} "
-                    f"(tolerance {TRACE_ABORT_TOL}); reduce dt"
-                )
-            if k % stride == 0 or k == n_steps:
-                record(k, x + 1j * y)
-    else:
-        rho = np.array(rho0, dtype=complex)
-        rhs = _rhs_complex_factory(h.astype(complex, copy=False), lop.astype(complex, copy=False))
-        record(0, rho)
-        for k in range(1, n_steps + 1):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-            tr = float(np.trace(rho).real)
-            if not np.isfinite(tr) or abs(tr - 1.0) > TRACE_ABORT_TOL:
-                raise RuntimeError(
-                    f"rk4 aborted at t={k * dt:.6g}: trace deviated to {tr!r} "
-                    f"(tolerance {TRACE_ABORT_TOL}); reduce dt"
-                )
-            if k % stride == 0 or k == n_steps:
-                record(k, rho)
-
-    data = np.array(rows)
-    if len(rows) == 1:  # t_max == 0
-        data = data.reshape(1, 6)
-    return EvolutionRecord(
-        times=data[:, 0], n_pairs=data[:, 1], e2=data[:, 2],
-        trace=data[:, 3], purity=data[:, 4], min_eig=data[:, 5],
-        max_hermiticity_error=max_herm,
+    rho0 = _matrix_of(rho0)
+    state = (np.real(rho0).astype(float), np.imag(rho0).astype(float))
+    return _run_trajectory(
+        state, step, lambda s: s[0] + 1j * s[1], np.arange(n_steps + 1) * dt,
+        pair_count=pair_count, electric_square=electric_square, stride=stride,
     )
 
 
@@ -432,7 +424,7 @@ def rk4_evolve(
 
 def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
     """rho(t) = unvec( expm(Lv t) vec(rho0) ), scaling-and-squaring expm."""
-    rho0 = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    rho0 = _matrix_of(rho0)
     dim = rho0.shape[0]
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     prop = scipy.linalg.expm(lv * t)
@@ -461,30 +453,14 @@ def exact_evolve(
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, times[-1]):
         raise ValueError("time grid must be uniform")
-    rho0 = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+    rho0 = _matrix_of(rho0)
     dim = rho0.shape[0]
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     prop = scipy.linalg.expm(lv * steps[0])
-
-    pairs_mat = _matrix_of(pair_count)
-    e2_mat = _matrix_of(electric_square)
-    rows = []
-    max_herm = 0.0
-    vec = rho0.astype(complex).reshape(-1)
-    for k, t in enumerate(times):
-        if k > 0:
-            vec = prop @ vec
-        rho = vec.reshape(dim, dim)
-        n_val, e_val, tr, purity, herm, mn = _record_point(
-            rho, None, None, pairs_mat, e2_mat
-        )
-        max_herm = max(max_herm, herm)
-        rows.append((t, n_val, e_val, tr, purity, mn))
-    data = np.array(rows)
-    return EvolutionRecord(
-        times=data[:, 0], n_pairs=data[:, 1], e2=data[:, 2],
-        trace=data[:, 3], purity=data[:, 4], min_eig=data[:, 5],
-        max_hermiticity_error=max_herm,
+    return _run_trajectory(
+        rho0.astype(complex).reshape(-1), lambda vec, k: prop @ vec,
+        lambda vec: vec.reshape(dim, dim), times,
+        pair_count=pair_count, electric_square=electric_square,
     )
 
 

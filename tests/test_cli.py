@@ -99,11 +99,30 @@ def test_evolve_exact_method(tmp_path):
     assert len(rec) == 11
 
 
-def test_evolve_misaligned_grid_fails_numerically(tmp_path, capsys):
-    code = run_cli(["evolve", "--n-sites", "2", "--t-max", "1.0",
-                    "--dt", "0.0075", "-o", str(tmp_path / "x.csv")])
-    assert code == 1
-    assert "numerical check failed" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--dt", ["evolve", "--n-sites", "2", "--dt", "0", "-o", "OUT"]),
+        ("--n-cycles", ["evolve", "--n-sites", "2", "--method", "dilation", "--n-cycles", "0",
+                        "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "1", "--dt", "0.3", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "1.0", "--dt", "0.0075", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "-1", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--method", "exact", "--t-max", "0", "-o", "OUT"]),
+        ("--stride", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
+                      "--t-max", "1.0", "--dt", "0.01", "--stride", "0", "--out-a", "OUT"]),
+        ("--sites", ["sweep", "--sites", "0", "-o", "OUT"]),
+    ],
+    ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
+         "exact-zero-horizon", "stride-zero", "no-sites"],
+)
+def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
+    """Rejected before any setup: exit 2, the flag named, nothing written."""
+    with pytest.raises(SystemExit) as err:
+        run_cli([str(tmp_path / "out") if a == "OUT" else a for a in argv])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evolve_dilation_dumps_unitaries(tmp_path):
@@ -128,6 +147,7 @@ def test_dump_unitaries_requires_the_dilation_method(tmp_path):
                  "--dump-unitaries", str(tmp_path / "g"),
                  "-o", str(tmp_path / "x.csv")])
     assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gibbs_prints_reference(tmp_path, capsys):

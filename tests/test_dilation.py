@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import standard_setup
+from openschwinger import dilation
 from openschwinger import (
     DensityMatrix,
     build_dilation_hamiltonian,
@@ -181,4 +182,20 @@ def test_dilation_evolve_rejects_zero_cycles(n2):
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
     with pytest.raises(ValueError):
         dilation_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, n_cycles=0,
+                        pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+
+def test_dilation_evolve_rejects_a_cycle_that_breaks_the_trace(n2, monkeypatch):
+    """The cycle is looked up on the module at call time, so a patched cycle
+    that leaks 1e-9 of trace must trip the per-cycle check."""
+    _, _, ops, _, lop = n2
+    exact_cycle = dilation.dilation_cycle
+
+    def leaky(rho, w):
+        return DensityMatrix(exact_cycle(rho, w).matrix * (1.0 + 1e-9))
+
+    monkeypatch.setattr(dilation, "dilation_cycle", leaky)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    with pytest.raises(ValueError, match="trace .* deviates from 1 by more than 1e-12"):
+        dilation_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, n_cycles=4,
                         pair_count=ops.pair_count, electric_square=ops.electric_square)

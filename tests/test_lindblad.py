@@ -17,6 +17,7 @@ from openschwinger import (
     build_lindblad_operator,
     build_sector_operators,
     build_symmetry_sector,
+    dilation_evolve,
     exact_evolve,
     exact_propagate,
     expectation,
@@ -98,7 +99,7 @@ def test_uniform_mixture_pair_count_on_the_five_state_space():
 
 @st.composite
 def records(draw):
-    n = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=0, max_value=20))
     incs = draw(
         st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=n, max_size=n)
     )
@@ -197,16 +198,52 @@ def test_rk4_tracks_the_exact_solution(n2_setup):
     assert np.max(np.abs(rec.e2 - exact.e2)) < 1e-8
 
 
-def test_real_and_complex_stepping_paths_agree(n2_setup):
+def test_complex_dtype_hamiltonian_gives_the_same_record(n2_setup):
     _, _, ops, _, lop = n2_setup
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square,
               t_max=1.0, dt=0.01, stride=10)
-    real_path = rk4_evolve(rho0, ops.hamiltonian, lop, **kw)
-    complex_path = rk4_evolve(rho0, ops.hamiltonian.matrix.astype(complex), lop, **kw)
-    assert np.allclose(real_path.n_pairs, complex_path.n_pairs, atol=1e-13)
-    assert np.allclose(real_path.e2, complex_path.e2, atol=1e-13)
-    assert np.allclose(real_path.purity, complex_path.purity, atol=1e-13)
+    real_h = rk4_evolve(rho0, ops.hamiltonian, lop, **kw)
+    complex_h = rk4_evolve(rho0, ops.hamiltonian.matrix.astype(complex), lop, **kw)
+    assert np.allclose(real_h.n_pairs, complex_h.n_pairs, atol=1e-13)
+    assert np.allclose(real_h.e2, complex_h.e2, atol=1e-13)
+    assert np.allclose(real_h.purity, complex_h.purity, atol=1e-13)
+
+
+def test_rk4_steps_a_complex_hermitian_state(n2_setup):
+    _, _, ops, _, lop = n2_setup
+    rho0 = random_density(np.random.default_rng(3), ops.dim)
+    assert np.any(rho0.imag)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, dt=0.005, stride=20, **kw)
+    exact = exact_evolve(rho0, ops.hamiltonian, lop, rec.times, **kw)
+    assert np.max(np.abs(rec.n_pairs - exact.n_pairs)) < 1e-8
+    assert np.max(np.abs(rec.e2 - exact.e2)) < 1e-8
+    assert np.max(np.abs(rec.purity - exact.purity)) < 1e-8
+
+
+def test_rk4_rejects_a_complex_hamiltonian(n2_setup):
+    _, _, ops, _, lop = n2_setup
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    upper = np.triu(np.ones((ops.dim, ops.dim)), 1)
+    h = ops.hamiltonian.matrix + 1e-3j * (upper - upper.T)  # still Hermitian
+    with pytest.raises(ValueError, match="imaginary"):
+        rk4_evolve(rho0, h, lop, t_max=0.1, dt=0.01,
+                   pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+
+@pytest.mark.parametrize("engine", ["rk4", "exact", "dilation"])
+def test_every_engine_rejects_a_non_diagonal_observable(n2_setup, engine):
+    _, _, ops, _, lop = n2_setup
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.hamiltonian, electric_square=ops.electric_square)
+    run = {
+        "rk4": lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.1, 0.01, **kw),
+        "exact": lambda: exact_evolve(rho0, ops.hamiltonian, lop, [0.0, 0.1], **kw),
+        "dilation": lambda: dilation_evolve(rho0, ops.hamiltonian, lop, 0.1, 2, **kw),
+    }[engine]
+    with pytest.raises(ValueError, match="pair_count must be diagonal"):
+        run()
 
 
 def test_rk4_records_endpoints_and_stride(n2_setup):
