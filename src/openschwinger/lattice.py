@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -160,40 +161,46 @@ def count_physical_states(n_sites: int, flux_cutoff: int = 1) -> int:
 def enumerate_physical_configs(spec: LatticeSpec) -> list[GaugeFermionConfig]:
     """All physical configurations, in canonical order.
 
-    Occupation patterns are scanned at half filling (Gauss's law around the
-    periodic lattice forces total charge zero, i.e. exactly N fermions); for
-    each pattern the fluxes follow recursively from one seed link, so at most
-    ``2*flux_cutoff + 1`` candidates exist per pattern.
+    Only half-filled occupation patterns are generated (Gauss's law around
+    the periodic lattice forces total charge zero, i.e. exactly N fermions,
+    so they are the N-subsets of the 2N sites); for each pattern the fluxes
+    follow recursively from one seed link, so at most ``2*flux_cutoff + 1``
+    candidates exist per pattern.
 
     Canonical order sorts by (sum of flux squares, pair count, occupations,
     fluxes); the first entry is always the bare vacuum.
     """
     nf = spec.n_fermion
     cutoff = spec.flux_cutoff
-    found = []
-    for bits in range(1 << nf):
-        occ = tuple((bits >> n) & 1 for n in range(nf))
-        if sum(occ) != spec.n_sites:
-            continue
-        q = staggered_charges(occ)
-        # partial sums of charge fix every flux relative to the seed link
-        rel = []
-        acc = 0
-        for n in range(nf):
-            acc += q[n]
-            rel.append(acc)
-        # acc == 0 here by neutrality; seed c is the flux on the last link,
-        # and rel contains 0 there, so |c| <= cutoff is implied by the range
-        lo = max(-cutoff - r for r in rel)
-        hi = min(cutoff - r for r in rel)
-        for c in range(lo, hi + 1):
-            flux = tuple(c + r for r in rel)
-            cfg = GaugeFermionConfig(occ, flux)
-            if spec.truncate_total_flux and cfg.total_abs_flux >= nf:
-                continue
-            found.append(cfg)
-    found.sort(key=GaugeFermionConfig.sort_key)
-    return found
+    # one row per half-filled pattern
+    filled = np.fromiter(
+        chain.from_iterable(combinations(range(nf), spec.n_sites)), dtype=np.intp
+    ).reshape(-1, spec.n_sites)
+    occ = np.zeros((len(filled), nf), dtype=np.int64)
+    occ[np.arange(len(filled))[:, None], filled] = 1
+    # partial sums of the staggered charge fix every flux relative to the seed
+    # c on the last link; rel ends in 0 by neutrality, so |c| <= cutoff is
+    # implied by the range lo..hi
+    rel = np.cumsum(np.arange(nf) % 2 - occ, axis=1)
+    lo = -cutoff - rel.min(axis=1)
+    count = np.maximum(cutoff - rel.max(axis=1) - lo + 1, 0)
+    # one row per (pattern, seed): pattern p repeated count[p] times, with
+    # seeds lo[p], lo[p] + 1, ... along its rows
+    pattern = np.repeat(np.arange(len(occ)), count)
+    seed = lo[pattern] + np.arange(len(pattern)) - np.repeat(np.cumsum(count) - count, count)
+    flux = seed[:, None] + rel[pattern]
+    occ = occ[pattern]
+    if spec.truncate_total_flux:
+        keep = np.abs(flux).sum(axis=1) < nf
+        occ, flux = occ[keep], flux[keep]
+    # GaugeFermionConfig.sort_key; lexsort takes the primary key last
+    order = np.lexsort(
+        (*flux.T[::-1], *occ.T[::-1], occ[:, 0::2].sum(axis=1), (flux * flux).sum(axis=1))
+    )
+    return [
+        GaugeFermionConfig(o, f)
+        for o, f in zip(map(tuple, occ[order].tolist()), map(tuple, flux[order].tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +210,7 @@ def enumerate_physical_configs(spec: LatticeSpec) -> list[GaugeFermionConfig]:
 def translate_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
     """Shift by one spatial site (two fermion sites, preserving staggering)."""
     occ, flux = config.occupations, config.fluxes
-    nf = len(occ)
-    return GaugeFermionConfig(
-        tuple(occ[(n - 2) % nf] for n in range(nf)),
-        tuple(flux[(n - 2) % nf] for n in range(nf)),
-    )
+    return GaugeFermionConfig(occ[-2:] + occ[:-2], flux[-2:] + flux[:-2])
 
 
 def reflect_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
@@ -218,11 +221,7 @@ def reflect_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
     flux sign flipped, electric fields being odd under reflection.
     """
     occ, flux = config.occupations, config.fluxes
-    nf = len(occ)
-    return GaugeFermionConfig(
-        tuple(occ[(-n) % nf] for n in range(nf)),
-        tuple(-flux[(-n - 1) % nf] for n in range(nf)),
-    )
+    return GaugeFermionConfig(occ[:1] + occ[:0:-1], tuple(-l for l in reversed(flux)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,51 +291,48 @@ def build_symmetry_sector(spec: LatticeSpec) -> SymmetrySector:
     configs = enumerate_physical_configs(spec)
     index = {c: i for i, c in enumerate(configs)}
 
-    # translation orbits, each keyed by its sorted member tuple
-    seen = set()
+    # translation orbits as sorted member tuples, in order of their smallest
+    # member; configs are in canonical order, so that member is also the
+    # orbit's canonical representative
+    t_orbit_of = [None] * len(configs)
     t_orbits = []
     for i, cfg in enumerate(configs):
-        if i in seen:
+        if t_orbit_of[i] is not None:
             continue
         orbit = [i]
         nxt = translate_config(cfg)
         while nxt != cfg:
             orbit.append(index[nxt])
             nxt = translate_config(nxt)
-        seen.update(orbit)
-        t_orbits.append(tuple(sorted(orbit)))
+        members = tuple(sorted(orbit))
+        for j in members:
+            t_orbit_of[j] = members
+        t_orbits.append(members)
 
-    orbit_of = {}
-    for members in t_orbits:
-        for i in members:
-            orbit_of[i] = members
-
-    # pair translation orbits under reflection
+    # pair translation orbits under reflection; visiting them in order of the
+    # representative leaves the sector basis in canonical order
     orbits = []
     done = set()
     for members in t_orbits:
         if members in done:
             continue
-        partner = orbit_of[index[reflect_config(configs[members[0]])]]
+        partner = t_orbit_of[index[reflect_config(configs[members[0]])]]
         done.add(members)
-        rep = min(members, key=lambda i: configs[i].sort_key())
         if partner == members:
             combined = members
             partner_rep = None
         else:
             done.add(partner)
             combined = tuple(sorted(members + partner))
-            partner_rep = min(partner, key=lambda i: configs[i].sort_key())
-        c0 = configs[rep]
+            partner_rep = partner[0]
+        c0 = configs[members[0]]
         orbits.append(SymmetryOrbit(
             members=combined,
-            representative=rep,
+            representative=members[0],
             partner_representative=partner_rep,
             flux_square_sum=c0.flux_square_sum,
             n_pairs=c0.n_pairs,
         ))
-
-    orbits.sort(key=lambda o: configs[o.representative].sort_key())
     return SymmetrySector(spec=spec, configs=tuple(configs), orbits=tuple(orbits))
 
 

@@ -55,14 +55,20 @@ __all__ = [
     "gibbs_state",
     "expectation",
     "TRACE_ABORT_TOL",
-    "LIOUVILLIAN_MAX_DIM_SQ",
+    "LIOUVILLIAN_MAX_BYTES",
 ]
 
 # rk4 aborts when the trace drifts this far from one (or turns non-finite)
 TRACE_ABORT_TOL = 1e-6
 
-# refuse to materialize a superoperator with more entries per row than this
-LIOUVILLIAN_MAX_DIM_SQ = 1_000_000
+# Largest dense superoperator (dim^4 complex entries, 16 B each) that
+# ``vectorized_liouvillian`` builds.  Its users peak at several copies of that
+# size (measured at dim 41: 2.5 while assembling the kron terms, 10 in
+# ``expm``, 8.5 in the SVD of ``steady_state``), so 256 MiB keeps the peak
+# near 2.5 GB on a 7 GB machine.  It admits dim <= 64, i.e. the truncated
+# sectors up to N = 5 (dim 41, 45 MB), and refuses N = 6 (dim 109, 2.3 GB per
+# copy).
+LIOUVILLIAN_MAX_BYTES = 256 * 2**20
 
 
 def _matrix_of(op) -> np.ndarray:
@@ -197,8 +203,9 @@ class EvolutionRecord:
     @classmethod
     def from_csv(cls, text: str) -> "EvolutionRecord":
         lines = [ln for ln in text.strip().splitlines() if ln]
-        if lines[0] != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {lines[0]!r}")
+        header = lines[0] if lines else ""
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header: {header!r}")
         data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(-1, 6)
         return cls(*data.T)
 
@@ -252,16 +259,17 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
 def vectorized_liouvillian(hamiltonian, lindblad_op) -> np.ndarray:
     """Dense superoperator matrix, row-major stacking (see module docstring).
 
-    Dimension is dim^2 x dim^2, so this is guarded: dim^2 entries per row
-    beyond ``LIOUVILLIAN_MAX_DIM_SQ`` are refused.
+    Dimension is dim^2 x dim^2, so this is guarded: a matrix of more than
+    ``LIOUVILLIAN_MAX_BYTES`` is refused before anything is allocated.
     """
     h = _matrix_of(hamiltonian)
     lop = _matrix_of(lindblad_op)
     dim = h.shape[0]
-    if dim * dim > LIOUVILLIAN_MAX_DIM_SQ:
+    nbytes = dim**4 * np.dtype(complex).itemsize
+    if nbytes > LIOUVILLIAN_MAX_BYTES:
         raise ValueError(
-            f"superoperator would have {dim * dim} entries per row "
-            f"(> {LIOUVILLIAN_MAX_DIM_SQ}); use rk4_evolve for this size"
+            f"superoperator for dim {dim} would take {nbytes / 2**20:.0f} MiB "
+            f"(> {LIOUVILLIAN_MAX_BYTES / 2**20:.0f} MiB); use rk4_evolve for this size"
         )
     ident = np.eye(dim)
     g = lop.conj().T @ lop
@@ -465,12 +473,28 @@ def exact_evolve(
 
 
 def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
-    """Null vector of the vectorized generator, normalized to trace one."""
+    """The time-averaged long-time limit of the flow from the maximally mixed
+    state 1/dim (the limit itself when no eigenvalue of Lv is purely
+    imaginary).
+
+    The kernel of the generator can be degenerate (dimension 3 at N = 4 and 2
+    at N = 5 in the truncated sector, which splits into blocks that H and L
+    never connect), so "the" null vector is not unique and an arbitrary one
+    need not be a density matrix.  The time average of exp(Lv t) vec(rho0) is
+    the spectral projection of rho0 onto the kernel, R (Lk^H R)^-1 Lk^H
+    vec(rho0), with R and Lk the right and left kernels; both come from one
+    SVD of Lv (singular values <= 1e-10 times the largest, at least one).  The
+    flow is positivity preserving, and so is its time average, so the result
+    from 1/dim, which has weight in every block, is positive semi-definite.
+    Returned Hermitized, trace one.
+    """
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     dim = _matrix_of(hamiltonian).shape[0]
-    evals, evecs = np.linalg.eig(lv)
-    idx = int(np.argmin(np.abs(evals)))
-    rho = evecs[:, idx].reshape(dim, dim)
+    u, sv, vh = np.linalg.svd(lv)
+    k = max(1, int(np.count_nonzero(sv <= 1e-10 * sv[0])))
+    right, left_h = vh[-k:].conj().T, u[:, -k:].conj().T
+    mixed = np.eye(dim, dtype=complex).reshape(-1) / dim
+    rho = (right @ np.linalg.solve(left_h @ right, left_h @ mixed)).reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:

@@ -7,9 +7,18 @@ The Hamiltonian acts on physical configurations as
 
 with sp/sm the fermion raising/lowering operators and L+/L- raising and
 lowering the link flux, indices periodic.  A hop that would push a flux past
-the cutoff (or out of the truncated space) is simply absent.  Building both
-hop directions term by term makes the matrix symmetric exactly, not just to
-rounding.
+the cutoff (or out of the truncated space) is simply absent.  The action of H
+on one configuration (diagonal, hop targets, flux shift) is written once, in
+``_apply_hamiltonian``, and both assemblies below use it:
+
+* ``build_sector_operators`` applies it to one representative per symmetry
+  orbit and fills the zero-momentum, positive-parity matrix directly (800 x
+  800 at N = 8, never the 12387 x 12387 configuration matrix).  This is the
+  path every engine and CLI command uses.
+* ``build_hamiltonian`` applies it to every configuration and, with
+  ``project_operator``, is the dense test oracle for the direct assembly.
+  Building both hop directions term by term makes that matrix symmetric
+  exactly, not just to rounding.
 
 Observables measured in the runs:
 
@@ -26,6 +35,7 @@ invariants (no floating-point projection error).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,44 +132,54 @@ def _basis_tag(spec: LatticeSpec, projected: bool) -> str:
 # configuration-basis operators
 # ---------------------------------------------------------------------------
 
+def _apply_hamiltonian(
+    cfg: GaugeFermionConfig, params: ModelParams
+) -> tuple[float, float, list[GaugeFermionConfig]]:
+    """H applied to one configuration: (diagonal element, hop amplitude, hop
+    targets).
+
+    Every nearest-neighbour hop has amplitude 1/(2a).  A fermion hopping from
+    n to n+1 raises the flux on the link between them and one hopping from n+1
+    to n lowers it, as Gauss's law requires.  Targets may lie outside the
+    flux cutoff or the truncated space; callers drop the ones they do not
+    index.
+    """
+    occ, flux = cfg.occupations, cfg.fluxes
+    nf = len(occ)
+    a, e, m = params.a, params.e, params.m
+    electric = 0.5 * a * e * e * cfg.flux_square_sum
+    mass = m * sum(occ[n] if n % 2 == 0 else -occ[n] for n in range(nf))
+    targets = []
+    for n in range(nf):
+        np1 = (n + 1) % nf
+        if occ[n] != occ[np1]:
+            new_occ = list(occ)
+            new_occ[n], new_occ[np1] = occ[np1], occ[n]
+            new_flux = list(flux)
+            new_flux[n] += occ[n] - occ[np1]
+            targets.append(GaugeFermionConfig(tuple(new_occ), tuple(new_flux)))
+    return electric + mass, 1.0 / (2.0 * a), targets
+
+
 def build_hamiltonian(
     spec: LatticeSpec,
     configs: list[GaugeFermionConfig],
     params: ModelParams,
 ) -> HermitianOperator:
-    """Assemble H on the configuration basis (real symmetric)."""
-    nf = spec.n_fermion
-    a, e, m = params.a, params.e, params.m
-    index = {c: i for i, c in enumerate(configs)}
-    dim = len(configs)
-    h = np.zeros((dim, dim))
-    hop = 1.0 / (2.0 * a)
+    """Assemble H on the configuration basis (real symmetric, dense).
 
+    The test oracle for the sector Hamiltonian: ``project_operator`` of this
+    must equal what ``build_sector_operators`` assembles directly.  Memory
+    grows as the square of the config count (1.2 GB at N = 8).
+    """
+    index = {c: i for i, c in enumerate(configs)}
+    h = np.zeros((len(configs), len(configs)))
     for i, cfg in enumerate(configs):
-        occ, flux = cfg.occupations, cfg.fluxes
-        electric = 0.5 * a * e * e * cfg.flux_square_sum
-        mass = m * sum(occ[n] if n % 2 == 0 else -occ[n] for n in range(nf))
-        h[i, i] = electric + mass
-        for n in range(nf):
-            np1 = (n + 1) % nf
-            if occ[n] == 0 and occ[np1] == 1:
-                # fermion hops from n+1 to n, lowering the flux between them
-                new_occ = list(occ)
-                new_occ[n], new_occ[np1] = 1, 0
-                new_flux = list(flux)
-                new_flux[n] -= 1
-                j = index.get(GaugeFermionConfig(tuple(new_occ), tuple(new_flux)))
-                if j is not None:
-                    h[j, i] += hop
-            if occ[n] == 1 and occ[np1] == 0:
-                # fermion hops from n to n+1, raising the flux between them
-                new_occ = list(occ)
-                new_occ[n], new_occ[np1] = 0, 1
-                new_flux = list(flux)
-                new_flux[n] += 1
-                j = index.get(GaugeFermionConfig(tuple(new_occ), tuple(new_flux)))
-                if j is not None:
-                    h[j, i] += hop
+        h[i, i], hop, targets = _apply_hamiltonian(cfg, params)
+        for target in targets:
+            j = index.get(target)
+            if j is not None:
+                h[j, i] += hop
     return HermitianOperator(matrix=h, basis_tag=_basis_tag(spec, projected=False))
 
 
@@ -204,7 +224,10 @@ def build_condensate(
 def project_operator(
     op: HermitianOperator, sector: SymmetrySector
 ) -> HermitianOperator:
-    """Compress a configuration-basis operator with the sector isometry."""
+    """Compress a configuration-basis operator with the sector isometry.
+
+    Dense V^T A V; kept as the test oracle, not used by the dynamics.
+    """
     v = sector.isometry()
     if op.dim != v.shape[0]:
         raise ValueError(
@@ -234,17 +257,43 @@ class SectorOperators:
         return self.hamiltonian.dim
 
 
+def _sector_hamiltonian(sector: SymmetrySector, params: ModelParams) -> np.ndarray:
+    """H on the sector basis, assembled from one configuration per orbit.
+
+    A sector state is the uniform superposition over an orbit M of the
+    translation-reflection group, and H commutes with the group.  So H applied
+    to the whole orbit is fixed by H applied to its representative alone:
+    <t|H|s> = sqrt(|M_s| / |M_t|) * sum of the representative's hop
+    amplitudes into orbit t (Sandvik, arXiv:1101.3281, sec. 4).  The diagonal
+    is orbit-invariant.  Hops that leave the (truncated) space are dropped,
+    exactly as in ``build_hamiltonian``.
+    """
+    orbits = sector.orbits
+    orbit_of = {sector.configs[i]: t for t, o in enumerate(orbits) for i in o.members}
+    sizes = [len(o.members) for o in orbits]
+    h = np.zeros((len(orbits), len(orbits)))
+    for s, orbit in enumerate(orbits):
+        diag, hop, targets = _apply_hamiltonian(sector.configs[orbit.representative], params)
+        h[s, s] = diag
+        for target in targets:
+            t = orbit_of.get(target)
+            if t is not None:
+                h[t, s] += hop * math.sqrt(sizes[s] / sizes[t])
+    # each entry was computed from one side only; average away the rounding
+    return 0.5 * (h + h.T)
+
+
 def build_sector_operators(
     sector: SymmetrySector, params: ModelParams
 ) -> SectorOperators:
     """Hamiltonian and observables on the zero-momentum positive-parity basis.
 
-    The Hamiltonian is projected with the isometry; the observables are
-    diagonal with orbit-invariant entries, so their projected matrices are
-    written down directly and are exact.
+    The Hamiltonian is assembled directly from the orbit representatives,
+    without the configuration-space matrix; the observables are diagonal with
+    orbit-invariant entries, so their sector matrices are written down
+    directly and are exact.
     """
     spec = sector.spec
-    h_full = build_hamiltonian(spec, list(sector.configs), params)
     tag = _basis_tag(spec, projected=True)
 
     pairs_diag = np.array([float(o.n_pairs) for o in sector.orbits])
@@ -259,7 +308,7 @@ def build_sector_operators(
     return SectorOperators(
         sector=sector,
         params=params,
-        hamiltonian=project_operator(h_full, sector),
+        hamiltonian=HermitianOperator(_sector_hamiltonian(sector, params), tag),
         pair_count=HermitianOperator(np.diag(pairs_diag), tag),
         electric_square=HermitianOperator(np.diag(e2_diag), tag),
         condensate=HermitianOperator(np.diag(cond_diag), tag),

@@ -33,7 +33,7 @@ SECTOR_DIMS = {1: 3, 2: 5, 3: 9, 4: 19, 6: 110}
 SECTOR_DIMS_TRUNCATED = {2: 4, 4: 18, 6: 109}
 
 
-def flux_first_configs(n_sites):
+def flux_first_configs(n_sites, flux_cutoff=1):
     """Enumerate the physical space by scanning flux tuples.
 
     Independent of the package's occupation-first construction: the charge on
@@ -42,7 +42,7 @@ def flux_first_configs(n_sites):
     """
     nf = 2 * n_sites
     out = set()
-    for fluxes in product((-1, 0, 1), repeat=nf):
+    for fluxes in product(range(-flux_cutoff, flux_cutoff + 1), repeat=nf):
         occ = []
         for n in range(nf):
             o = (n % 2) - (fluxes[n] - fluxes[n - 1])
@@ -58,6 +58,18 @@ def flux_first_configs(n_sites):
 def test_enumeration_matches_flux_first_scan(n_sites):
     spec = LatticeSpec(n_sites=n_sites)
     assert set(enumerate_physical_configs(spec)) == flux_first_configs(n_sites)
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_enumeration_at_cutoff_two_is_canonical_and_complete(n_sites, truncate):
+    spec = LatticeSpec(n_sites=n_sites, flux_cutoff=2, truncate_total_flux=truncate)
+    configs = enumerate_physical_configs(spec)
+    assert configs == sorted(configs, key=GaugeFermionConfig.sort_key)
+    expected = flux_first_configs(n_sites, flux_cutoff=2)
+    if truncate:
+        expected = {c for c in expected if c.total_abs_flux < 2 * n_sites}
+    assert set(configs) == expected and len(configs) == len(expected)
 
 
 @pytest.mark.parametrize("n_sites,expected", sorted(KNOWN_COUNTS.items()))

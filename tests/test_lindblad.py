@@ -1,5 +1,7 @@
 """Dissipative evolution: generator structure, integrators, thermal references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,10 +26,12 @@ from openschwinger import (
     gibbs_reference,
     gibbs_state,
     lindblad_rhs,
+    project_operator,
     rk4_evolve,
     steady_state,
     vectorized_liouvillian,
 )
+from openschwinger.operators import build_hamiltonian
 
 # thermal reference on the 4-state space at beta=0.1, a=e=1, m=0.1, frozen
 # from the eigendecomposition oracle
@@ -122,6 +126,8 @@ def test_csv_round_trip_is_bit_exact(rec):
 def test_csv_header_is_enforced():
     with pytest.raises(ValueError, match="header"):
         EvolutionRecord.from_csv("a,b,c\n1,2,3\n")
+    with pytest.raises(ValueError, match="header"):
+        EvolutionRecord.from_csv("")
     assert CSV_HEADER == "t,n_pairs,e2,trace,purity,min_eig"
 
 
@@ -177,9 +183,18 @@ def test_liouvillian_left_null_vector_is_the_trace(n2_setup):
 
 
 def test_liouvillian_guard_against_huge_spaces():
-    h = np.zeros((1001, 1001))
-    with pytest.raises(ValueError, match="superoperator"):
-        vectorized_liouvillian(h, h)
+    # dim 109 is the truncated N = 6 sector, 2.3 GB per dense copy; both sizes
+    # are refused before the superoperator is allocated
+    for dim in (1001, 109):
+        h = np.zeros((dim, dim))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="superoperator"):
+                vectorized_liouvillian(h, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +356,24 @@ def test_steady_state_is_a_fixed_point(n2_setup):
     assert ss.min_eigenvalue > -1e-10
     residual = lindblad_rhs(ss.matrix.astype(complex), ops.hamiltonian, lop)
     assert np.max(np.abs(residual)) < 1e-10
+
+
+def test_steady_state_from_a_degenerate_kernel_is_a_density_matrix():
+    # at N = 4 the kernel is three-dimensional; the limit from 1/dim is PSD
+    spec, sector, ops, bath, lop = standard_setup(4)
+    ss = steady_state(ops.hamiltonian, lop)
+    assert ss.trace == pytest.approx(1.0, abs=1e-12)
+    assert ss.hermiticity_error < 1e-12
+    assert ss.min_eigenvalue > 0.0
+    residual = lindblad_rhs(ss.matrix, ops.hamiltonian, lop)
+    assert np.max(np.abs(residual)) < 1e-10
+
+    h_oracle = project_operator(
+        build_hamiltonian(spec, list(sector.configs), ops.params), sector
+    )
+    lop_oracle = build_lindblad_operator(h_oracle, ops.condensate, spec, ops.params, bath)
+    ss_oracle = steady_state(h_oracle, lop_oracle)
+    assert np.max(np.abs(ss.matrix - ss_oracle.matrix)) <= 1e-10
 
 
 def test_gibbs_state_at_infinite_temperature_is_maximally_mixed(n2_setup):

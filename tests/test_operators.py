@@ -1,5 +1,10 @@
 """Hamiltonian and observable assembly, projection, serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from openschwinger import (
     enumerate_physical_configs,
     matrix_from_json,
     matrix_to_json,
+    operators,
     project_operator,
 )
 from openschwinger.operators import (
@@ -98,6 +104,52 @@ def test_projection_compresses_with_the_isometry(n_sites):
     full_eigs = np.linalg.eigvalsh(h_full.matrix)
     for lam in np.linalg.eigvalsh(h_proj.matrix):
         assert np.min(np.abs(full_eigs - lam)) < 1e-10
+
+
+@pytest.mark.parametrize("a,e,m", [(0.9, 1.1, 0.2), (1.0, 1.0, 0.1)])
+@pytest.mark.parametrize("truncate", [False, True])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+def test_direct_sector_hamiltonian_equals_the_projected_oracle(n_sites, truncate, a, e, m):
+    spec = LatticeSpec(n_sites=n_sites, truncate_total_flux=truncate)
+    sector = build_symmetry_sector(spec)
+    params = ModelParams(a=a, e=e, m=m)
+    direct = build_sector_operators(sector, params).hamiltonian
+    oracle = project_operator(build_hamiltonian(spec, list(sector.configs), params), sector)
+    assert direct.basis_tag == oracle.basis_tag
+    assert np.max(np.abs(direct.matrix - oracle.matrix)) <= 1e-13
+
+
+def test_sector_operators_never_build_the_configuration_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense configuration-space path reached")
+
+    monkeypatch.setattr(operators, "build_hamiltonian", refuse)
+    monkeypatch.setattr(operators, "project_operator", refuse)
+    sector = build_symmetry_sector(LatticeSpec(n_sites=4, truncate_total_flux=True))
+    ops = build_sector_operators(sector, ModelParams())
+    assert ops.dim == sector.dim == 18
+
+
+def test_eight_site_sector_operators_fit_in_a_small_memory_footprint():
+    # the dense configuration-space route peaked at about 3.6 GB here
+    child = (
+        "import resource\n"
+        "from openschwinger import LatticeSpec, ModelParams, build_sector_operators, "
+        "build_symmetry_sector\n"
+        "sector = build_symmetry_sector(LatticeSpec(n_sites=8, truncate_total_flux=True))\n"
+        "assert build_sector_operators(sector, ModelParams()).dim == 800\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(operators.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 500
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
