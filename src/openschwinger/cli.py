@@ -31,6 +31,7 @@ from .lindblad import (
     BathParams,
     DensityMatrix,
     EvolutionRecord,
+    _step_count,
     build_lindblad_operator,
     exact_evolve,
     gibbs_reference,
@@ -55,26 +56,43 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=float, default=0.1, help="fermion mass (default 0.1)")
 
 
-def _add_bath_args(p: argparse.ArgumentParser) -> None:
+def _add_setup_args(p: argparse.ArgumentParser) -> None:
+    """The flags ``_build_setup`` reads, bar the lattice size."""
+    p.add_argument(
+        "--full-flux",
+        action="store_true",
+        help="keep the uniform background-flux loops (default: drop them, as in the device runs)",
+    )
+    _add_model_args(p)
     p.add_argument("--beta", type=float, default=0.1, help="inverse temperature (default 0.1)")
     p.add_argument("--coupling", type=float, default=3.2, help="system-environment coupling D (default 3.2)")
 
 
 def _add_dynamics_basis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-sites", type=int, required=True, metavar="N", help="spatial lattice sites")
-    p.add_argument(
-        "--full-flux",
-        action="store_true",
-        help="keep the uniform background-flux loops (default: drop them, as in the device runs)",
-    )
+    _add_setup_args(p)
 
 
-def _spec_from(args, *, dynamics: bool) -> LatticeSpec:
+def _add_run_args(p: argparse.ArgumentParser, *, dt: float, stride: int) -> None:
+    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--dt", type=float, default=dt, help="step (rk4) or output grid spacing (exact)")
+    p.add_argument("--n-cycles", type=int, default=200, help="dilation cycles (dilation method only)")
+    p.add_argument("--stride", type=int, default=stride, help="record every STRIDE-th rk4 step")
+
+
+def _operators_from(args, *, dynamics: bool):
+    """(spec, params, sector operators) of the flags; bad values are usage errors."""
     n = args.n_sites
     if n < 1:
         raise _UsageError(f"--n-sites must be >= 1, got {n}")
-    truncate = (not args.full_flux) if dynamics else getattr(args, "truncate", False)
-    return LatticeSpec(n, truncate_total_flux=truncate)
+    truncate = (not args.full_flux) if dynamics else args.truncate
+    spec = LatticeSpec(n, truncate_total_flux=truncate)
+    try:
+        params = ModelParams(a=args.a, e=args.e, m=args.m)
+    except ValueError as exc:
+        raise _UsageError(f"--a: {exc}") from exc
+    sector = build_symmetry_sector(spec)
+    return spec, params, build_sector_operators(sector, params)
 
 
 class _UsageError(ValueError):
@@ -92,26 +110,24 @@ def _check_run_args(args, methods: set) -> None:
     if methods & {"rk4", "exact"}:
         if args.dt <= 0:
             raise _UsageError(f"--dt must be > 0, got {args.dt}")
-        n_steps = int(round(args.t_max / args.dt))
-        if abs(n_steps * args.dt - args.t_max) > 1e-9 * max(1.0, args.t_max):
-            raise _UsageError(f"--t-max {args.t_max} is not a whole number of --dt {args.dt} steps")
+        try:
+            _step_count(args.t_max, args.dt)
+        except ValueError:
+            raise _UsageError(f"--t-max {args.t_max} is not a whole number of --dt {args.dt} steps") from None
 
 
 def _build_setup(args):
-    """Shared build path for the dynamical subcommands."""
-    spec = _spec_from(args, dynamics=True)
-    params = ModelParams(a=args.a, e=args.e, m=args.m)
+    """Shared build path for the dynamical subcommands: (spec, bath, ops, lop)."""
     try:
         bath = BathParams.from_beta(args.beta, args.coupling)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    sector = build_symmetry_sector(spec)
-    ops = build_sector_operators(sector, params)
+    spec, params, ops = _operators_from(args, dynamics=True)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
-    return spec, params, bath, sector, ops, lop
+    return spec, bath, ops, lop
 
 
-def _run_method(args, method, ops, lop, spec, bath):
+def _run_method(args, method, ops, lop):
     """Dispatch one evolution run; every path records the same observables."""
     rho0 = DensityMatrix.pure_state(ops.hamiltonian.dim, 0)  # projected bare vacuum
     if method == "rk4":
@@ -126,7 +142,7 @@ def _run_method(args, method, ops, lop, spec, bath):
             pair_count=ops.pair_count, electric_square=ops.electric_square,
         )
     if method == "exact":
-        times = np.arange(int(round(args.t_max / args.dt)) + 1) * args.dt
+        times = np.arange(_step_count(args.t_max, args.dt) + 1) * args.dt
         return exact_evolve(
             rho0, ops.hamiltonian, lop, times,
             pair_count=ops.pair_count, electric_square=ops.electric_square,
@@ -172,6 +188,18 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
     _sidecar_path(out).write_text(json.dumps(sidecar, indent=1))
 
 
+def _run_and_write(args, out: Path):
+    """Build, run ``args.method`` and write the CSV and its sidecar to ``out``:
+    the one run path of ``evolve`` and ``sweep``."""
+    spec, bath, ops, lop = _build_setup(args)
+    t0 = time.perf_counter()
+    record = _run_method(args, args.method, ops, lop)
+    elapsed = time.perf_counter() - t0
+    gibbs = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
+    _write_outputs(out, record, _config_dict(args, args.method, spec, bath), gibbs, elapsed)
+    return ops, lop, record, gibbs, elapsed
+
+
 def _align_records(rec_a: EvolutionRecord, rec_b: EvolutionRecord, tol: float = 1e-9):
     """Indices of time points the two records share (within tolerance)."""
     ia, ib = [], []
@@ -208,10 +236,9 @@ def cmd_states(args) -> int:
         sector = build_symmetry_sector(spec)
         label = "truncated sector" if args.truncate else "sector"
         print(f"N={n}: {label} dim {sector.dim} (from {sector.n_configs} configurations)")
-        v = sector.isometry()
-        gram_err = np.max(np.abs(v.T @ v - np.eye(sector.dim)))
-        if gram_err > 1e-12:
-            print(f"cross-check FAILED: sector basis not orthonormal ({gram_err:.3e})", file=sys.stderr)
+        # the orbits must partition the configs: each index in exactly one
+        if sorted(i for orbit in sector.orbits for i in orbit.members) != list(range(sector.n_configs)):
+            print("cross-check FAILED: sector orbits do not partition the configurations", file=sys.stderr)
             ok = False
     if not ok:
         raise NumericalCheckError("states cross-checks failed")
@@ -219,10 +246,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    spec = _spec_from(args, dynamics=False)
-    params = ModelParams(a=args.a, e=args.e, m=args.m)
-    sector = build_symmetry_sector(spec)
-    ops = build_sector_operators(sector, params)
+    _, _, ops = _operators_from(args, dynamics=False)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(ops.hamiltonian.to_json())
@@ -244,13 +268,8 @@ def cmd_evolve(args) -> int:
     _check_run_args(args, {args.method})
     if args.dump_unitaries and args.method != "dilation":
         raise _UsageError("--dump-unitaries only applies to the dilation method")
-    spec, params, bath, sector, ops, lop = _build_setup(args)
-    t0 = time.perf_counter()
-    record = _run_method(args, args.method, ops, lop, spec, bath)
-    elapsed = time.perf_counter() - t0
-    gibbs = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
     out = Path(args.output)
-    _write_outputs(out, record, _config_dict(args, args.method, spec, bath), gibbs, elapsed)
+    ops, lop, record, _, elapsed = _run_and_write(args, out)
     print(
         f"wrote {out} and {_sidecar_path(out)}: dim {ops.hamiltonian.dim}, "
         f"{len(record.times)} rows, {elapsed:.2f}s"
@@ -270,7 +289,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    spec, params, bath, sector, ops, lop = _build_setup(args)
+    _, bath, ops, _ = _build_setup(args)
     ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
     line = json.dumps(ref, indent=1)
     if args.output:
@@ -284,17 +303,16 @@ def cmd_gibbs(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_run_args(args, {args.method_a, args.method_b})
-    spec, params, bath, sector, ops, lop = _build_setup(args)
-    records = {}
-    for side, method in (("a", args.method_a), ("b", args.method_b)):
-        rec = _run_method(args, method, ops, lop, spec, bath)
-        records[side] = rec
-        out_path = getattr(args, f"out_{side}")
+    _, _, ops, lop = _build_setup(args)
+    # both runs first, so a failing one leaves no output behind
+    rec_a = _run_method(args, args.method_a, ops, lop)
+    rec_b = _run_method(args, args.method_b, ops, lop)
+    for out_path, rec in ((args.out_a, rec_a), (args.out_b, rec_b)):
         if out_path:
             out = Path(out_path)
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(rec.to_csv())
-    ia, ib = _align_records(records["a"], records["b"])
+    ia, ib = _align_records(rec_a, rec_b)
     if len(ia) < 2:
         raise _UsageError(
             "the two methods share fewer than two time points; "
@@ -302,7 +320,7 @@ def cmd_compare(args) -> int:
         )
     worst = 0.0
     for name in ("n_pairs", "e2"):
-        da = np.abs(getattr(records["a"], name)[ia] - getattr(records["b"], name)[ib])
+        da = np.abs(getattr(rec_a, name)[ia] - getattr(rec_b, name)[ib])
         worst = max(worst, float(np.max(da)))
         print(
             f"{name}: max |dev| = {np.max(da):.6e}, mean |dev| = {np.mean(da):.6e} "
@@ -330,13 +348,8 @@ def cmd_sweep(args) -> int:
     records = []
     for n in sites:
         sub = argparse.Namespace(**vars(args), n_sites=n)
-        spec, params, bath, sector, ops, lop = _build_setup(sub)
-        t0 = time.perf_counter()
-        record = _run_method(sub, args.method, ops, lop, spec, bath)
-        elapsed = time.perf_counter() - t0
-        gibbs = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
         out = out_dir / f"evolve_N{n}.csv"
-        _write_outputs(out, record, _config_dict(sub, args.method, spec, bath), gibbs, elapsed)
+        ops, _, record, gibbs, elapsed = _run_and_write(sub, out)
         tail = record.times >= record.times[-1] * (1.0 - tail_frac)
         eq_e2 = float(np.mean(record.e2[tail]))
         eq_pairs = float(np.mean(record.n_pairs[tail]))
@@ -423,34 +436,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run one evolution and write CSV + JSON sidecar")
     _add_dynamics_basis_args(p)
-    _add_model_args(p)
-    _add_bath_args(p)
     p.add_argument("--method", choices=("rk4", "dilation", "exact"), default="rk4")
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=0.005, help="step (rk4) or output grid spacing (exact)")
-    p.add_argument("--n-cycles", type=int, default=200, help="dilation cycles (dilation method only)")
-    p.add_argument("--stride", type=int, default=1, help="record every STRIDE-th rk4 step")
+    _add_run_args(p, dt=0.005, stride=1)
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.add_argument("--dump-unitaries", metavar="PREFIX", help="also dump the dilation cycle unitaries (JSON)")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("gibbs", help="print thermal reference observable values")
     _add_dynamics_basis_args(p)
-    _add_model_args(p)
-    _add_bath_args(p)
     p.add_argument("-o", "--output", help="optional output JSON path")
     p.set_defaults(func=cmd_gibbs)
 
     p = sub.add_parser("compare", help="run two methods on one setup and report deviations")
     _add_dynamics_basis_args(p)
-    _add_model_args(p)
-    _add_bath_args(p)
     p.add_argument("--method-a", choices=("rk4", "dilation", "exact"), required=True)
     p.add_argument("--method-b", choices=("rk4", "dilation", "exact"), required=True)
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--n-cycles", type=int, default=200)
-    p.add_argument("--stride", type=int, default=1)
+    _add_run_args(p, dt=0.005, stride=1)
     p.add_argument("--max-dev", type=float, help="exit 1 if max observable deviation exceeds this")
     p.add_argument("--out-a", help="optional CSV dump of the first run")
     p.add_argument("--out-b", help="optional CSV dump of the second run")
@@ -458,18 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run one method across lattice sizes and summarize equilibria")
     p.add_argument("--sites", type=_int_list, default=[2, 4, 6, 8], help="comma-separated N list")
-    p.add_argument(
-        "--full-flux",
-        action="store_true",
-        help="keep the uniform background-flux loops (default: drop them, as in the device runs)",
-    )
-    _add_model_args(p)
-    _add_bath_args(p)
+    _add_setup_args(p)
     p.add_argument("--method", choices=("rk4", "dilation", "exact"), default="rk4")
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--n-cycles", type=int, default=200)
-    p.add_argument("--stride", type=int, default=5)
+    _add_run_args(p, dt=0.01, stride=5)
     p.add_argument("--tail-frac", type=float, default=0.2, help="trailing fraction averaged as 'equilibrium'")
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_sweep)

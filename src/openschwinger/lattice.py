@@ -19,7 +19,6 @@ symmetry-reduces that constrained space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -37,8 +36,6 @@ __all__ = [
     "reflect_config",
     "SymmetrySector",
     "build_symmetry_sector",
-    "configs_to_json",
-    "configs_from_json",
 ]
 
 
@@ -232,16 +229,15 @@ def reflect_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
 class SymmetryOrbit:
     """One basis state of the projected sector: a symmetry orbit of configs.
 
-    ``members`` are indices into the canonical config list; the basis state is
-    the uniform superposition with amplitude ``1/sqrt(len(members))``.  For a
-    translation orbit mapped to a different orbit by reflection, ``members``
-    is the union of the two and ``representative``/``partner_representative``
-    record where each half came from.
+    ``members`` are the sorted indices into the canonical config list of the
+    N translations of a config and of its mirror image; the basis state is the
+    uniform superposition with amplitude ``1/sqrt(len(members))``.
+    ``representative`` is the smallest member, the config the orbit was built
+    from.
     """
 
     members: tuple[int, ...]
     representative: int
-    partner_representative: int | None
     flux_square_sum: int
     n_pairs: int
 
@@ -278,90 +274,31 @@ class SymmetrySector:
 def build_symmetry_sector(spec: LatticeSpec) -> SymmetrySector:
     """Project the physical space onto zero momentum and positive parity.
 
-    Translation orbits are superposed uniformly (momentum zero); reflection
-    then either fixes a translation orbit as a set (the zero-momentum state is
-    automatically parity-even) or swaps two orbits, whose symmetric
-    combination survives.  Either way each sector basis state is a uniform
-    superposition over one orbit of the full symmetry group, and the count of
-    such orbits is the sector dimension.
+    Each sector basis state is the uniform superposition over one orbit of
+    the group generated by the one-site translation and the reflection (zero
+    momentum and even parity at once), and the count of such orbits is the
+    sector dimension.  One pass over the canonically ordered configs builds
+    them: each config not yet seen opens an orbit made of the N translations
+    of it and of its mirror image, and that config, the orbit's smallest
+    member, is its representative.
 
-    Basis states are ordered by (flux square sum, pair count, lexicographic
-    representative); both sort observables are orbit invariants.
+    Basis states are therefore ordered by their representatives, i.e. by
+    (flux square sum, pair count, occupations, fluxes); the first two are
+    orbit invariants.
     """
     configs = enumerate_physical_configs(spec)
     index = {c: i for i, c in enumerate(configs)}
-
-    # translation orbits as sorted member tuples, in order of their smallest
-    # member; configs are in canonical order, so that member is also the
-    # orbit's canonical representative
-    t_orbit_of = [None] * len(configs)
-    t_orbits = []
-    for i, cfg in enumerate(configs):
-        if t_orbit_of[i] is not None:
-            continue
-        orbit = [i]
-        nxt = translate_config(cfg)
-        while nxt != cfg:
-            orbit.append(index[nxt])
-            nxt = translate_config(nxt)
-        members = tuple(sorted(orbit))
-        for j in members:
-            t_orbit_of[j] = members
-        t_orbits.append(members)
-
-    # pair translation orbits under reflection; visiting them in order of the
-    # representative leaves the sector basis in canonical order
+    seen = set()
     orbits = []
-    done = set()
-    for members in t_orbits:
-        if members in done:
+    for i, cfg in enumerate(configs):
+        if i in seen:
             continue
-        partner = t_orbit_of[index[reflect_config(configs[members[0]])]]
-        done.add(members)
-        if partner == members:
-            combined = members
-            partner_rep = None
-        else:
-            done.add(partner)
-            combined = tuple(sorted(members + partner))
-            partner_rep = partner[0]
-        c0 = configs[members[0]]
-        orbits.append(SymmetryOrbit(
-            members=combined,
-            representative=members[0],
-            partner_representative=partner_rep,
-            flux_square_sum=c0.flux_square_sum,
-            n_pairs=c0.n_pairs,
-        ))
+        found = set()
+        for image in (cfg, reflect_config(cfg)):
+            for _ in range(spec.n_sites):
+                found.add(index[image])
+                image = translate_config(image)
+        members = tuple(sorted(found))
+        seen.update(members)
+        orbits.append(SymmetryOrbit(members, i, cfg.flux_square_sum, cfg.n_pairs))
     return SymmetrySector(spec=spec, configs=tuple(configs), orbits=tuple(orbits))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def configs_to_json(spec: LatticeSpec, configs) -> str:
-    payload = {
-        "n_sites": spec.n_sites,
-        "flux_cutoff": spec.flux_cutoff,
-        "truncate_total_flux": spec.truncate_total_flux,
-        "configs": [
-            {"occupations": list(c.occupations), "fluxes": list(c.fluxes)}
-            for c in configs
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def configs_from_json(text: str) -> tuple[LatticeSpec, list[GaugeFermionConfig]]:
-    payload = json.loads(text)
-    spec = LatticeSpec(
-        n_sites=payload["n_sites"],
-        flux_cutoff=payload["flux_cutoff"],
-        truncate_total_flux=payload["truncate_total_flux"],
-    )
-    configs = [
-        GaugeFermionConfig(tuple(d["occupations"]), tuple(d["fluxes"]))
-        for d in payload["configs"]
-    ]
-    return spec, configs

@@ -314,9 +314,8 @@ def _run_trajectory(
         if k % stride and k != n_steps:
             continue
         rho = density(state)
-        tr = float(np.trace(rho).real)
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        dm = DensityMatrix(rho)
+        tr, herm, min_eig = dm.trace, dm.hermiticity_error, dm.min_eigenvalue
         if tolerances is not None and k > 0:
             _check_invariants(tr, herm, min_eig, **tolerances)
         max_herm = max(max_herm, herm)
@@ -325,7 +324,7 @@ def _run_trajectory(
             float(np.real(np.sum(pairs_diag * np.diagonal(rho)))),
             float(np.real(np.sum(e2_diag * np.diagonal(rho)))),
             tr,
-            float(np.einsum("ij,ji->", rho, rho).real),
+            dm.purity,
             min_eig,
         ))
     return EvolutionRecord(*np.array(rows).T, max_hermiticity_error=max_herm)
@@ -356,6 +355,14 @@ def _rhs_real_pair_factory(h, lop):
         return dx, dy
 
     return rhs
+
+
+def _step_count(t_max: float, dt: float) -> int:
+    """The number of ``dt`` steps in ``t_max``; ValueError unless whole (to 1e-9)."""
+    n_steps = int(round(t_max / dt))
+    if abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
+        raise ValueError(f"t_max {t_max} is not a whole number of steps of dt {dt}")
+    return n_steps
 
 
 def _real_matrix_of(op, name: str) -> np.ndarray:
@@ -395,9 +402,7 @@ def rk4_evolve(
         raise ValueError("need dt > 0 and t_max >= 0")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n_steps = int(round(t_max / dt))
-    if abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError(f"t_max {t_max} is not a whole number of steps of dt {dt}")
+    n_steps = _step_count(t_max, dt)
     rhs = _rhs_real_pair_factory(h, lop)
 
     def step(state, k):

@@ -28,8 +28,10 @@ Observables measured in the runs:
                     condensate density that couples the system to the bath
 
 All three are diagonal in the configuration basis and remain diagonal in the
-symmetry-projected basis, where they are filled in directly from orbit
-invariants (no floating-point projection error).
+symmetry-projected basis.  Each is written once, over the two invariants
+``n_pairs`` and ``flux_square_sum`` that configurations and orbits both carry,
+so the sector diagonals are filled in directly (no floating-point projection
+error).
 """
 
 from __future__ import annotations
@@ -129,6 +131,35 @@ def _basis_tag(spec: LatticeSpec, projected: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
+# observables: one formula each, over configurations or orbits
+# ---------------------------------------------------------------------------
+
+def _pair_count(items, tag: str) -> HermitianOperator:
+    """Electron-positron pair number (= occupied even sites), diagonal over
+    ``items``, configurations or orbits."""
+    return HermitianOperator(np.diag([float(c.n_pairs) for c in items]), tag)
+
+
+def _electric_square(spec: LatticeSpec, items, params: ModelParams, tag: str) -> HermitianOperator:
+    """Mean squared electric field (e^2 / 2N) sum_n l[n]^2, diagonal over ``items``."""
+    scale = params.e**2 / (2.0 * spec.n_sites)
+    return HermitianOperator(np.diag([scale * c.flux_square_sum for c in items]), tag)
+
+
+def _condensate(spec: LatticeSpec, items, params: ModelParams, tag: str) -> HermitianOperator:
+    """Staggered scalar density (1/2a*2N) sum_n (-1)^n sigma_z(n), diagonal over
+    ``items``.
+
+    Equals (2*pairs - N) / (a*2N) on a configuration: the constant part of
+    sigma_z = 2*occ - 1 cancels around the even-length chain, which also makes
+    this form identical to the occupation form sum_n (-1)^n (sigma_z+1)/2
+    normalized the same way.
+    """
+    diag = [(2.0 * c.n_pairs - spec.n_sites) / (params.a * spec.n_fermion) for c in items]
+    return HermitianOperator(np.diag(diag), tag)
+
+
+# ---------------------------------------------------------------------------
 # configuration-basis operators
 # ---------------------------------------------------------------------------
 
@@ -186,35 +217,22 @@ def build_hamiltonian(
 def build_pair_count(
     spec: LatticeSpec, configs: list[GaugeFermionConfig]
 ) -> HermitianOperator:
-    """Electron-positron pair number, diagonal."""
-    diag = np.array([float(c.n_pairs) for c in configs])
-    return HermitianOperator(np.diag(diag), _basis_tag(spec, projected=False))
+    """Electron-positron pair number, diagonal (test oracle)."""
+    return _pair_count(configs, _basis_tag(spec, projected=False))
 
 
 def build_electric_square(
     spec: LatticeSpec, configs: list[GaugeFermionConfig], params: ModelParams
 ) -> HermitianOperator:
-    """Mean squared electric field (e^2 / 2N) sum_n l[n]^2, diagonal."""
-    scale = params.e**2 / (2.0 * spec.n_sites)
-    diag = np.array([scale * c.flux_square_sum for c in configs])
-    return HermitianOperator(np.diag(diag), _basis_tag(spec, projected=False))
+    """Mean squared electric field, diagonal (test oracle)."""
+    return _electric_square(spec, configs, params, _basis_tag(spec, projected=False))
 
 
 def build_condensate(
     spec: LatticeSpec, configs: list[GaugeFermionConfig], params: ModelParams
 ) -> HermitianOperator:
-    """Staggered scalar density (1/2a*2N) sum_n (-1)^n sigma_z(n), diagonal.
-
-    Equals (2*pairs - N) / (a*2N) on a configuration: the constant part of
-    sigma_z = 2*occ - 1 cancels around the even-length chain, which also makes
-    this form identical to the occupation form sum_n (-1)^n (sigma_z+1)/2
-    normalized the same way.
-    """
-    nf = spec.n_fermion
-    diag = np.array(
-        [(2.0 * c.n_pairs - spec.n_sites) / (params.a * nf) for c in configs]
-    )
-    return HermitianOperator(np.diag(diag), _basis_tag(spec, projected=False))
+    """Staggered scalar density, diagonal (test oracle)."""
+    return _condensate(spec, configs, params, _basis_tag(spec, projected=False))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +252,7 @@ def project_operator(
             f"operator dim {op.dim} does not match config count {v.shape[0]}"
         )
     mat = v.T @ op.matrix @ v
-    if np.isrealobj(op.matrix):
-        mat = 0.5 * (mat + mat.T)  # kill rounding asymmetry from the two GEMMs
-    else:
-        mat = 0.5 * (mat + mat.conj().T)
+    mat = 0.5 * (mat + mat.conj().T)  # kill rounding asymmetry from the two GEMMs
     return HermitianOperator(mat, _basis_tag(sector.spec, projected=True))
 
 
@@ -293,23 +308,13 @@ def build_sector_operators(
     orbit-invariant entries, so their sector matrices are written down
     directly and are exact.
     """
-    spec = sector.spec
+    spec, orbits = sector.spec, sector.orbits
     tag = _basis_tag(spec, projected=True)
-
-    pairs_diag = np.array([float(o.n_pairs) for o in sector.orbits])
-    e2_scale = params.e**2 / (2.0 * spec.n_sites)
-    e2_diag = np.array([e2_scale * o.flux_square_sum for o in sector.orbits])
-    cond_diag = np.array(
-        [
-            (2.0 * o.n_pairs - spec.n_sites) / (params.a * spec.n_fermion)
-            for o in sector.orbits
-        ]
-    )
     return SectorOperators(
         sector=sector,
         params=params,
         hamiltonian=HermitianOperator(_sector_hamiltonian(sector, params), tag),
-        pair_count=HermitianOperator(np.diag(pairs_diag), tag),
-        electric_square=HermitianOperator(np.diag(e2_diag), tag),
-        condensate=HermitianOperator(np.diag(cond_diag), tag),
+        pair_count=_pair_count(orbits, tag),
+        electric_square=_electric_square(spec, orbits, params, tag),
+        condensate=_condensate(spec, orbits, params, tag),
     )

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from openschwinger import EvolutionRecord, HermitianOperator, matrix_from_json
+from openschwinger import EvolutionRecord, HermitianOperator, SymmetrySector, matrix_from_json
+from openschwinger import cli
 from openschwinger.cli import main
 
 
@@ -32,6 +34,27 @@ def test_states_skips_enumeration_at_large_volume(capsys):
 def test_states_sector_flag(capsys):
     assert run_cli(["states", "2", "--sector", "--truncate"]) == 0
     assert "truncated sector dim 4" in capsys.readouterr().out
+
+
+def test_states_sector_check_needs_no_dense_isometry(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("dense isometry built")
+
+    monkeypatch.setattr(SymmetrySector, "isometry", refuse)
+    assert run_cli(["states", "4", "--sector", "--truncate"]) == 0
+    assert "truncated sector dim 18" in capsys.readouterr().out
+
+
+def test_states_sector_check_catches_overlapping_orbits(monkeypatch, capsys):
+    build = cli.build_symmetry_sector
+
+    def overlapping(spec):
+        sector = build(spec)
+        return dataclasses.replace(sector, orbits=sector.orbits + sector.orbits[-1:])
+
+    monkeypatch.setattr(cli, "build_symmetry_sector", overlapping)
+    assert run_cli(["states", "2", "--sector"]) == 1
+    assert "cross-check FAILED" in capsys.readouterr().err
 
 
 def test_states_rejects_nonpositive_volume():
@@ -112,9 +135,12 @@ def test_evolve_exact_method(tmp_path):
         ("--stride", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
                       "--t-max", "1.0", "--dt", "0.01", "--stride", "0", "--out-a", "OUT"]),
         ("--sites", ["sweep", "--sites", "0", "-o", "OUT"]),
+        ("--a", ["evolve", "--n-sites", "2", "--a", "0", "-o", "OUT"]),
+        ("--a", ["hamiltonian", "--n-sites", "2", "--a", "0", "-o", "OUT"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
-         "exact-zero-horizon", "stride-zero", "no-sites"],
+         "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
+         "hamiltonian-zero-spacing"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""
@@ -175,6 +201,15 @@ def test_compare_enforces_the_deviation_bound(capsys):
                     "--n-cycles", "20", "--max-dev", "1e-12"])
     assert code == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_compare_writes_nothing_when_a_run_fails(tmp_path, capsys):
+    # rk4 succeeds; exact then refuses the dim-109 superoperator before allocating it
+    code = run_cli(["compare", "--n-sites", "6", "--method-a", "rk4", "--method-b", "exact",
+                    "--t-max", "0.1", "--dt", "0.01", "--out-a", str(tmp_path / "a.csv")])
+    assert code == 1
+    assert "superoperator" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_writes_per_volume_runs_and_summary(tmp_path, capsys):

@@ -16,12 +16,7 @@ from openschwinger import (
     gauss_residuals,
     staggered_charges,
 )
-from openschwinger.lattice import (
-    configs_from_json,
-    configs_to_json,
-    reflect_config,
-    translate_config,
-)
+from openschwinger.lattice import reflect_config, translate_config
 
 # physical-space dimensions at cutoff 1, small enough to recount here; the
 # odd-N values come from the flux-first scan below, the even-N ones are
@@ -218,10 +213,23 @@ def test_orbits_sorted_by_flux_then_pair_count():
     assert keys == sorted(keys)
 
 
-def test_orbit_amplitudes_normalize_the_superposition():
-    sector = build_symmetry_sector(LatticeSpec(n_sites=3))
+ORBIT_CASES = [(n, 1) for n in range(1, 7)] + [(n, 2) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize(
+    "n_sites, flux_cutoff", ORBIT_CASES, ids=[f"N{n}-cutoff{c}" for n, c in ORBIT_CASES]
+)
+@pytest.mark.parametrize("truncate", [False, True], ids=["full", "truncated"])
+def test_orbit_amplitudes_normalize_the_superposition(n_sites, flux_cutoff, truncate):
+    spec = LatticeSpec(n_sites=n_sites, flux_cutoff=flux_cutoff, truncate_total_flux=truncate)
+    sector = build_symmetry_sector(spec)
     for orbit in sector.orbits:
         assert orbit.amplitude == pytest.approx(1.0 / np.sqrt(len(orbit.members)))
+        # the one-pass construction opens each orbit at its smallest member
+        assert orbit.representative == min(orbit.members)
+    # which keeps the basis in canonical order
+    reps = [orbit.representative for orbit in sector.orbits]
+    assert reps == sorted(reps) and len(set(reps)) == len(reps)
     # every config belongs to exactly one orbit
     counts = np.zeros(sector.n_configs, dtype=int)
     for orbit in sector.orbits:
@@ -235,14 +243,6 @@ def test_spec_rejects_bad_parameters():
         LatticeSpec(n_sites=0)
     with pytest.raises(ValueError):
         LatticeSpec(n_sites=2, flux_cutoff=0)
-
-
-def test_config_json_round_trip():
-    spec = LatticeSpec(n_sites=2, truncate_total_flux=True)
-    configs = enumerate_physical_configs(spec)
-    spec2, configs2 = configs_from_json(configs_to_json(spec, configs))
-    assert spec2 == spec
-    assert configs2 == configs
 
 
 @settings(max_examples=60, deadline=None)
