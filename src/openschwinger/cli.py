@@ -116,12 +116,17 @@ def _check_run_args(args, methods: set) -> None:
             raise _UsageError(f"--t-max {args.t_max} is not a whole number of --dt {args.dt} steps") from None
 
 
-def _build_setup(args):
-    """Shared build path for the dynamical subcommands: (spec, bath, ops, lop)."""
+def _bath_from(args) -> BathParams:
+    """The bath of ``--beta`` and ``--coupling``; bad values are usage errors."""
     try:
-        bath = BathParams.from_beta(args.beta, args.coupling)
+        return BathParams.from_beta(args.beta, args.coupling)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _build_setup(args):
+    """Shared build path for the dynamical subcommands: (spec, bath, ops, lop)."""
+    bath = _bath_from(args)
     spec, params, ops = _operators_from(args, dynamics=True)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
     return spec, bath, ops, lop
@@ -289,7 +294,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    _, bath, ops, _ = _build_setup(args)
+    bath = _bath_from(args)
+    _, _, ops = _operators_from(args, dynamics=True)
     ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
     line = json.dumps(ref, indent=1)
     if args.output:
@@ -304,20 +310,20 @@ def cmd_gibbs(args) -> int:
 def cmd_compare(args) -> int:
     _check_run_args(args, {args.method_a, args.method_b})
     _, _, ops, lop = _build_setup(args)
-    # both runs first, so a failing one leaves no output behind
+    # both runs and the grid check first, so a failure leaves no output behind
     rec_a = _run_method(args, args.method_a, ops, lop)
     rec_b = _run_method(args, args.method_b, ops, lop)
-    for out_path, rec in ((args.out_a, rec_a), (args.out_b, rec_b)):
-        if out_path:
-            out = Path(out_path)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(rec.to_csv())
     ia, ib = _align_records(rec_a, rec_b)
     if len(ia) < 2:
         raise _UsageError(
             "the two methods share fewer than two time points; "
             "choose dt / n-cycles so the grids align"
         )
+    for out_path, rec in ((args.out_a, rec_a), (args.out_b, rec_b)):
+        if out_path:
+            out = Path(out_path)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(rec.to_csv())
     worst = 0.0
     for name in ("n_pairs", "e2"):
         da = np.abs(getattr(rec_a, name)[ia] - getattr(rec_b, name)[ib])

@@ -122,7 +122,7 @@ def gauss_residuals(config: GaugeFermionConfig) -> tuple[int, ...]:
 # counting (closed form, exact integers)
 # ---------------------------------------------------------------------------
 
-def count_physical_states(n_sites: int, flux_cutoff: int = 1) -> int:
+def count_physical_states(n_sites: int) -> int:
     """Closed-form dimension of the physical space at |flux| <= 1.
 
     A configuration with M pairs is a cyclic arrangement of M flux strings of
@@ -134,8 +134,6 @@ def count_physical_states(n_sites: int, flux_cutoff: int = 1) -> int:
 
     Exact integer arithmetic throughout, so large N is fine.
     """
-    if flux_cutoff != 1:
-        raise ValueError("closed-form count only known for flux_cutoff=1")
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     nf = 2 * n_sites

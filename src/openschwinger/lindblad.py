@@ -18,7 +18,9 @@ Three ways to evolve, each a step closure run by one trajectory driver; the
 recorded observables must be diagonal in the sector basis:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size; needs
-                      real H and L, takes any Hermitian rho0
+                      real H and L, takes any Hermitian rho0 and steps it as
+                      one real matrix R = Re rho + Im rho, six real GEMMs per
+                      right-hand side and no Hermitian projection
 * ``exact_evolve``    matrix exponential of the vectorized generator,
                       small sectors only (the superoperator is dim^2 x dim^2)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
@@ -334,29 +336,6 @@ def _run_trajectory(
 # RK4 integration
 # ---------------------------------------------------------------------------
 
-def _rhs_real_pair_factory(h, lop):
-    """RHS on (X, Y) with rho = X + iY, X symmetric, Y antisymmetric.
-
-    All eight products are real GEMMs, about 1.5x cheaper in flops than
-    complex arithmetic; transposition identities for symmetric/antisymmetric
-    operands halve the commutator work.
-    """
-    g = lop.T @ lop
-
-    def rhs(x, y):
-        hy = h @ y
-        hx = h @ x
-        gx = g @ x
-        gy = g @ y
-        lxl = (lop @ x) @ lop.T
-        lyl = (lop @ y) @ lop.T
-        dx = (hy + hy.T) + lxl - 0.5 * (gx + gx.T)
-        dy = (hx.T - hx) + lyl - 0.5 * (gy - gy.T)
-        return dx, dy
-
-    return rhs
-
-
 def _step_count(t_max: float, dt: float) -> int:
     """The number of ``dt`` steps in ``t_max``; ValueError unless whole (to 1e-9)."""
     n_steps = int(round(t_max / dt))
@@ -387,14 +366,19 @@ def rk4_evolve(
 
     Records every ``stride``-th step (plus t=0 and the final step).  The trace
     is monitored every step and the run aborts if it leaves 1 by more than
-    ``TRACE_ABORT_TOL`` or turns non-finite.  H and L must be real; the
-    Hermitian rho0 = X + iY is stepped as the real pair (X, Y).
+    ``TRACE_ABORT_TOL`` or turns non-finite.  H and L must be real.
 
-    The state is projected back onto the Hermitian subspace after every step.
-    The flow preserves Hermiticity exactly, but the update formulas rely on it,
-    and on the non-Hermitian complement they acquire modes growing like
-    exp(+||L||^2 t) that rounding noise would otherwise seed; the projection
-    pins that component at machine epsilon for the cost of one transpose.
+    The state is the single real matrix R = X + Y, where X = Re rho is
+    symmetric and Y = Im rho antisymmetric, so rho = (R + R^T)/2 + i (R - R^T)/2
+    and tr R = tr rho.  For real H and L, with G = L^T L, the generator reads
+
+        dR/dt = R^T H - H R^T + L R L^T - 1/2 (G R + R G),
+
+    six real GEMMs per right-hand side.  Every real R encodes a Hermitian rho,
+    so no step can leave the Hermitian matrices.  The encoding cannot hold a
+    non-Hermitian part: R0 is built from the Hermitian part of rho0, and a
+    rho0 whose Hermiticity error exceeds 1e-10 (the ``validate`` default) is
+    refused with ValueError.
     """
     h = _real_matrix_of(hamiltonian, "hamiltonian")
     lop = _real_matrix_of(lindblad_op, "lindblad_op")
@@ -403,30 +387,35 @@ def rk4_evolve(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = _step_count(t_max, dt)
-    rhs = _rhs_real_pair_factory(h, lop)
+    rho0 = _matrix_of(rho0)
+    herm_err = DensityMatrix(rho0).hermiticity_error
+    if herm_err > 1e-10:
+        raise ValueError(f"rho0 is not Hermitian: hermiticity error {herm_err:.3e} > 1e-10")
+    herm = 0.5 * (rho0 + rho0.conj().T)
+    g = lop.T @ lop
 
-    def step(state, k):
-        x, y = state
-        k1x, k1y = rhs(x, y)
-        k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-        k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-        k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
-        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        y = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        x = 0.5 * (x + x.T)
-        y = 0.5 * (y - y.T)
-        tr = float(np.trace(x))
+    def rhs(r):
+        hr = h @ r
+        gr = g @ r
+        return (hr.T - h @ r.T) + (lop @ r) @ lop.T - 0.5 * (gr + r @ g)
+
+    def step(r, k):
+        k1 = rhs(r)
+        k2 = rhs(r + 0.5 * dt * k1)
+        k3 = rhs(r + 0.5 * dt * k2)
+        k4 = rhs(r + dt * k3)
+        r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        tr = float(np.trace(r))
         if not np.isfinite(tr) or abs(tr - 1.0) > TRACE_ABORT_TOL:
             raise RuntimeError(
                 f"rk4 aborted at t={k * dt:.6g}: trace deviated to {tr!r} "
                 f"(tolerance {TRACE_ABORT_TOL}); reduce dt"
             )
-        return x, y
+        return r
 
-    rho0 = _matrix_of(rho0)
-    state = (np.real(rho0).astype(float), np.imag(rho0).astype(float))
     return _run_trajectory(
-        state, step, lambda s: s[0] + 1j * s[1], np.arange(n_steps + 1) * dt,
+        np.real(herm) + np.imag(herm), step, lambda r: 0.5 * (r + r.T) + 0.5j * (r - r.T),
+        np.arange(n_steps + 1) * dt,
         pair_count=pair_count, electric_square=electric_square, stride=stride,
     )
 

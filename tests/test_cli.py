@@ -185,6 +185,18 @@ def test_gibbs_prints_reference(tmp_path, capsys):
     assert ref["n_pairs"] == pytest.approx(0.9642044409706013, abs=1e-12)
 
 
+def test_gibbs_builds_no_lindblad_operator(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gibbs needs no Lindblad operator")
+
+    monkeypatch.setattr(cli, "build_lindblad_operator", refuse)
+    assert run_cli(["gibbs", "--n-sites", "2"]) == 0
+    ref = json.loads(capsys.readouterr().out)
+    assert ref["beta"] == pytest.approx(0.1)
+    assert ref["e2"] == pytest.approx(0.3564747014220561, abs=1e-12)
+    assert ref["n_pairs"] == pytest.approx(0.9642044409706013, abs=1e-12)
+
+
 def test_compare_rk4_against_exact(capsys):
     code = run_cli(["compare", "--n-sites", "2", "--method-a", "rk4",
                     "--method-b", "exact", "--t-max", "1.0", "--dt", "0.01",
@@ -209,6 +221,17 @@ def test_compare_writes_nothing_when_a_run_fails(tmp_path, capsys):
                     "--t-max", "0.1", "--dt", "0.01", "--out-a", str(tmp_path / "a.csv")])
     assert code == 1
     assert "superoperator" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_writes_nothing_when_the_grids_do_not_align(tmp_path, capsys):
+    # two rk4 runs of zero horizon share one time point only
+    with pytest.raises(SystemExit) as err:
+        run_cli(["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "rk4",
+                 "--t-max", "0", "--out-a", str(tmp_path / "a.csv"),
+                 "--out-b", str(tmp_path / "b.csv")])
+    assert err.value.code == 2
+    assert "fewer than two time points" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -237,6 +237,32 @@ def test_rk4_steps_a_complex_hermitian_state(n2_setup):
     assert np.max(np.abs(rec.purity - exact.purity)) < 1e-8
 
 
+def test_rk4_refuses_a_non_hermitian_rho0(n2_setup):
+    _, _, ops, _, lop = n2_setup
+    rho0 = random_density(np.random.default_rng(5), ops.dim)
+    rho0 = rho0 + 1e-6 * np.triu(np.ones((ops.dim, ops.dim)), 1)
+    with pytest.raises(ValueError, match="rho0"):
+        rk4_evolve(rho0, ops.hamiltonian, lop, t_max=0.1, dt=0.01,
+                   pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+
+def test_rk4_holds_a_complex_state_to_the_long_horizon_without_projection():
+    # 20000 steps at N = 4 from a state with an imaginary part: the single
+    # real-matrix state must neither drift off the exact flow nor lose
+    # Hermiticity, with nothing projecting it back
+    _, _, ops, _, lop = standard_setup(4)
+    rho0 = random_density(np.random.default_rng(11), ops.dim)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, t_max=200.0, dt=0.01, stride=1000, **kw)
+    exact = exact_evolve(rho0, ops.hamiltonian, lop, rec.times, **kw)
+    assert len(rec) == 21
+    for name in ("n_pairs", "e2", "purity"):
+        assert np.max(np.abs(getattr(rec, name) - getattr(exact, name))) < 1e-9, name
+    assert np.max(np.abs(rec.trace - 1.0)) < 1e-12
+    assert rec.max_hermiticity_error == 0.0
+
+
 def test_rk4_rejects_a_complex_hamiltonian(n2_setup):
     _, _, ops, _, lop = n2_setup
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
