@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,14 +76,14 @@ class LatticeSpec:
         return 2 * self.n_sites
 
 
-@dataclass(frozen=True)
-class GaugeFermionConfig:
+class GaugeFermionConfig(NamedTuple):
     """A joint occupation/flux basis configuration.
 
     ``occupations[n]`` is 0 or 1 for fermion site n; ``fluxes[n]`` is the
     integer flux on the link between sites n and n+1 (the last link wraps
-    around).  Instances are hashable so they can serve as dict keys during
-    orbit construction.
+    around).  An instance is the plain tuple ``(occupations, fluxes)``, so it
+    hashes and compares as that pair and serves as a dict key during orbit
+    construction.
     """
 
     occupations: tuple[int, ...]
@@ -159,8 +160,8 @@ def enumerate_physical_configs(spec: LatticeSpec) -> list[GaugeFermionConfig]:
     Only half-filled occupation patterns are generated (Gauss's law around
     the periodic lattice forces total charge zero, i.e. exactly N fermions,
     so they are the N-subsets of the 2N sites); for each pattern the fluxes
-    follow recursively from one seed link, so at most ``2*flux_cutoff + 1``
-    candidates exist per pattern.
+    follow from the one on the last link, so ``2*flux_cutoff + 1`` candidates
+    exist per pattern.
 
     Canonical order sorts by (sum of flux squares, pair count, occupations,
     fluxes); the first entry is always the bare vacuum.
@@ -174,28 +175,29 @@ def enumerate_physical_configs(spec: LatticeSpec) -> list[GaugeFermionConfig]:
     occ = np.zeros((len(filled), nf), dtype=np.int64)
     occ[np.arange(len(filled))[:, None], filled] = 1
     # partial sums of the staggered charge fix every flux relative to the seed
-    # c on the last link; rel ends in 0 by neutrality, so |c| <= cutoff is
-    # implied by the range lo..hi
+    # c on the last link (rel ends in 0 by neutrality): one candidate per
+    # seed |c| <= cutoff, kept where every |flux| <= cutoff
     rel = np.cumsum(np.arange(nf) % 2 - occ, axis=1)
-    lo = -cutoff - rel.min(axis=1)
-    count = np.maximum(cutoff - rel.max(axis=1) - lo + 1, 0)
-    # one row per (pattern, seed): pattern p repeated count[p] times, with
-    # seeds lo[p], lo[p] + 1, ... along its rows
-    pattern = np.repeat(np.arange(len(occ)), count)
-    seed = lo[pattern] + np.arange(len(pattern)) - np.repeat(np.cumsum(count) - count, count)
-    flux = seed[:, None] + rel[pattern]
-    occ = occ[pattern]
+    flux = np.arange(-cutoff, cutoff + 1)[:, None, None] + rel
+    size = np.abs(flux)
+    keep = size.max(axis=2) <= cutoff
     if spec.truncate_total_flux:
-        keep = np.abs(flux).sum(axis=1) < nf
-        occ, flux = occ[keep], flux[keep]
-    # GaugeFermionConfig.sort_key; lexsort takes the primary key last
-    order = np.lexsort(
-        (*flux.T[::-1], *occ.T[::-1], occ[:, 0::2].sum(axis=1), (flux * flux).sum(axis=1))
+        keep &= size.sum(axis=2) < nf
+    occ, flux = occ[np.nonzero(keep)[1]], flux[keep]
+    # GaugeFermionConfig.sort_key; lexsort takes the primary key last.  The
+    # occupation and flux tuples order as their base-2 and base-(2 cutoff + 1)
+    # numbers with site 0 the most significant digit (exact in int64 for any
+    # lattice small enough to enumerate)
+    digits = np.arange(nf - 1, -1, -1)
+    order = np.lexsort((
+        (flux + cutoff) @ (2 * cutoff + 1) ** digits,
+        occ @ 2**digits,
+        occ[:, 0::2].sum(axis=1),
+        (flux * flux).sum(axis=1),
+    ))
+    return list(
+        map(GaugeFermionConfig, map(tuple, occ[order].tolist()), map(tuple, flux[order].tolist()))
     )
-    return [
-        GaugeFermionConfig(o, f)
-        for o, f in zip(map(tuple, occ[order].tolist()), map(tuple, flux[order].tolist()))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +225,7 @@ def reflect_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
 # zero-momentum, positive-parity sector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryOrbit:
+class SymmetryOrbit(NamedTuple):
     """One basis state of the projected sector: a symmetry orbit of configs.
 
     ``members`` are the sorted indices into the canonical config list of the
@@ -292,10 +293,12 @@ def build_symmetry_sector(spec: LatticeSpec) -> SymmetrySector:
         if i in seen:
             continue
         found = set()
-        for image in (cfg, reflect_config(cfg)):
+        # the images as plain (occupations, fluxes) pairs, shifted as in
+        # translate_config; a config is that pair, so the pair finds its index
+        for occ, flux in (cfg, reflect_config(cfg)):
             for _ in range(spec.n_sites):
-                found.add(index[image])
-                image = translate_config(image)
+                found.add(index[occ, flux])
+                occ, flux = occ[-2:] + occ[:-2], flux[-2:] + flux[:-2]
         members = tuple(sorted(found))
         seen.update(members)
         orbits.append(SymmetryOrbit(members, i, cfg.flux_square_sum, cfg.n_pairs))

@@ -105,7 +105,7 @@ class HermitianOperator:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        err = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        err = np.abs(m - m.conj().T).max() if m.size else 0.0
         if err > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {err:.3e}")
 
@@ -179,7 +179,7 @@ def _apply_hamiltonian(
     nf = len(occ)
     a, e, m = params.a, params.e, params.m
     electric = 0.5 * a * e * e * cfg.flux_square_sum
-    mass = m * sum(occ[n] if n % 2 == 0 else -occ[n] for n in range(nf))
+    mass = m * (sum(occ[0::2]) - sum(occ[1::2]))
     targets = []
     for n in range(nf):
         np1 = (n + 1) % nf
