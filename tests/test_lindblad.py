@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from openschwinger import (
     steady_state,
     vectorized_liouvillian,
 )
+from openschwinger import lindblad
 from openschwinger.operators import build_hamiltonian
 
 # thermal reference on the 4-state space at beta=0.1, a=e=1, m=0.1, frozen
@@ -271,6 +273,82 @@ def test_rk4_rejects_a_complex_hamiltonian(n2_setup):
     with pytest.raises(ValueError, match="imaginary"):
         rk4_evolve(rho0, h, lop, t_max=0.1, dt=0.01,
                    pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+
+def test_real_state_decodes_to_an_exactly_hermitian_matrix():
+    r = np.random.default_rng(17).normal(size=(7, 7))
+    rho = lindblad._density_of_real(r, np.empty(r.shape, dtype=complex))
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.array_equal(rho.real, 0.5 * (r + r.T))
+    assert np.array_equal(rho.imag, 0.5 * (r - r.T))
+
+
+@pytest.mark.parametrize("n_sites, sparse", [(4, False), (6, True)])
+def test_both_operand_branches_compute_the_lindblad_generator(n_sites, sparse):
+    # N = 4 (dim 18) takes the dense operands, N = 6 (dim 109) the CSR ones
+    _, _, ops, _, lop = standard_setup(n_sites)
+    operands = lindblad._real_operands(ops.hamiltonian.matrix, lop)
+    assert all(scipy.sparse.issparse(m) == sparse for m in operands)
+    rhs = lindblad._real_rhs(*operands)
+    rng = np.random.default_rng(n_sites)
+    for _ in range(3):
+        rho = random_density(rng, ops.dim)
+        r = rho.real + rho.imag
+        drho = lindblad._density_of_real(rhs(r, np.empty_like(r)), np.empty_like(rho))
+        assert np.max(np.abs(drho - lindblad_rhs(rho, ops.hamiltonian, lop))) < 1e-13
+
+
+def test_rk4_matches_a_plain_complex_rk4_in_the_sparse_branch():
+    # N = 6 has no exact oracle (its superoperator is refused), so the sparse
+    # real-state step is checked against textbook RK4 on lindblad_rhs
+    _, _, ops, _, lop = standard_setup(6)
+    rho0 = random_density(np.random.default_rng(23), ops.dim)
+    dt, n_steps = 0.01, 20
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, n_steps * dt, dt,
+                     pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+    def f(rho):
+        return lindblad_rhs(rho, ops.hamiltonian, lop)
+
+    rho, rows = rho0, []
+    for k in range(n_steps + 1):
+        if k > 0:
+            k1 = f(rho)
+            k2 = f(rho + 0.5 * dt * k1)
+            k3 = f(rho + 0.5 * dt * k2)
+            k4 = f(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        dm = DensityMatrix(rho)
+        rows.append((expectation(rho, ops.pair_count), expectation(rho, ops.electric_square),
+                     dm.trace, dm.purity, dm.min_eigenvalue))
+    plain = np.array(rows).T
+    assert len(rec) == n_steps + 1
+    for name, col in zip(("n_pairs", "e2", "trace", "purity", "min_eig"), plain):
+        assert np.max(np.abs(getattr(rec, name) - col)) < 1e-12, name
+    assert rec.max_hermiticity_error == 0.0
+
+
+def test_rk4_step_allocates_a_fixed_working_set():
+    # N = 7 (dim 284, CSR operands): the peak of traced allocations is the
+    # same for 2 and 20 steps, so no step leaves temporaries behind, and stays
+    # within 14 real dim x dim arrays (state, four step buffers, the complex
+    # record buffer and the products of one right-hand side)
+    _, _, ops, _, lop = standard_setup(7)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01, **kw)  # one-time imports and caches
+    peaks = []
+    for n_steps in (2, 20):
+        tracemalloc.start()
+        try:
+            rk4_evolve(rho0, ops.hamiltonian, lop, n_steps * 0.01, 0.01, stride=n_steps, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    array_bytes = ops.dim**2 * 8
+    assert abs(peaks[1] - peaks[0]) < 0.02 * array_bytes
+    assert peaks[1] <= 14 * array_bytes
 
 
 @pytest.mark.parametrize("engine", ["rk4", "exact", "dilation"])
