@@ -38,7 +38,6 @@ from .lindblad import (
     exact_propagate,
     expectation,
     gibbs_reference,
-    gibbs_state,
     lindblad_rhs,
     rk4_evolve,
     steady_state,
@@ -80,7 +79,6 @@ __all__ = [
     "expectation",
     "gauss_residuals",
     "gibbs_reference",
-    "gibbs_state",
     "lindblad_rhs",
     "matrix_from_json",
     "matrix_to_json",

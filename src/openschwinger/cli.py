@@ -188,7 +188,6 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
         "config": config,
         "gibbs_reference": gibbs,
         "wall_time_s": elapsed,
-        "record": record.to_json_dict(),
     }
     _sidecar_path(out).write_text(json.dumps(sidecar, indent=1))
 

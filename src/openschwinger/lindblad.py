@@ -17,20 +17,24 @@ the bath temperature.
 Three ways to evolve, each a step closure run by one trajectory driver; the
 recorded observables must be diagonal in the sector basis:
 
-* ``rk4_evolve``      fixed-step classical integrator, any sector size; needs
-                      real H and L, takes any Hermitian rho0 and steps it as
-                      one real matrix R = Re rho + Im rho: five matrix
-                      products per right-hand side, sparse (CSR) when H and L
-                      are, and no Hermitian projection
+* ``rk4_evolve``      fixed-step classical integrator, any sector size: five
+                      matrix products per right-hand side, sparse (CSR) when H
+                      and L are, and no Hermitian projection
 * ``exact_evolve``    matrix exponential of the vectorized generator,
                       small sectors only (the superoperator is dim^2 x dim^2)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
 
-Vectorization uses row-major (C-order) stacking, matching ``ndarray.reshape``:
-vec(A X B) = (A kron B^T) vec(X).  Written in that convention the generator is
+RK4 and the exact engine (with ``exact_propagate`` and ``steady_state``) need
+real H and L, take any Hermitian rho0 and hold it as one real matrix
+R = Re rho + Im rho; rho = (R + R^T)/2 + i (R - R^T)/2 is Hermitian bit for
+bit.  Only the dilation circuit, which mirrors the quantum device, keeps a
+complex rho.
 
-    Lv = -i (H kron 1 - 1 kron H^T) + L kron conj(L)
-         - 1/2 (L+L kron 1 + 1 kron (L+L)^T).
+Vectorization uses row-major (C-order) stacking, matching ``ndarray.reshape``:
+vec(A X B) = (A kron B^T) vec(X).  With G = L^T L and S the transposition,
+S vec(R) = vec(R^T), the real generator on vec(R) is
+
+    Lv = (1 kron H - H kron 1) S + L kron L - 1/2 (G kron 1 + 1 kron G).
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ __all__ = [
     "exact_propagate",
     "exact_evolve",
     "steady_state",
-    "gibbs_state",
     "expectation",
     "TRACE_ABORT_TOL",
     "LIOUVILLIAN_MAX_BYTES",
@@ -70,13 +73,13 @@ TRACE_ABORT_TOL = 1e-6
 # (dim 4 to 41) and CSR from 0.06 on (N = 6, dim 109: 2.1 -> 1.3 ms).
 RK4_SPARSE_BELOW = 0.1
 
-# Largest dense superoperator (dim^4 complex entries, 16 B each) that
+# Largest dense superoperator (dim^4 real entries, 8 B each) that
 # ``vectorized_liouvillian`` builds.  Its users peak at several copies of that
-# size (measured at dim 41: 2.5 while assembling the kron terms, 10 in
-# ``expm``, 8.5 in the SVD of ``steady_state``), so 256 MiB keeps the peak
-# near 2.5 GB on a 7 GB machine.  It admits dim <= 64, i.e. the truncated
-# sectors up to N = 5 (dim 41, 45 MB), and refuses N = 6 (dim 109, 2.3 GB per
-# copy).
+# size (peak RSS measured at dim 41: 2 while assembling the kron terms, 8.3
+# in ``expm`` with the generator, 8.5 in the SVD of ``steady_state``), so
+# 256 MiB keeps the peak near 2.2 GB on a 7 GB machine.  It admits dim <= 76,
+# i.e. the truncated sectors up to N = 5 (dim 41, 22.6 MB), and refuses N = 6
+# (dim 109, 1.1 GB per copy).
 LIOUVILLIAN_MAX_BYTES = 256 * 2**20
 
 
@@ -218,16 +221,6 @@ class EvolutionRecord:
         data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(-1, 6)
         return cls(*data.T)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "n_pairs": self.n_pairs.tolist(),
-            "e2": self.e2.tolist(),
-            "trace": self.trace.tolist(),
-            "purity": self.purity.tolist(),
-            "min_eig": self.min_eig.tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # generator
@@ -266,27 +259,32 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
 
 
 def vectorized_liouvillian(hamiltonian, lindblad_op) -> np.ndarray:
-    """Dense superoperator matrix, row-major stacking (see module docstring).
+    """Dense real superoperator on row-major vec(R) (see module docstring).
 
     Dimension is dim^2 x dim^2, so this is guarded: a matrix of more than
-    ``LIOUVILLIAN_MAX_BYTES`` is refused before anything is allocated.
+    ``LIOUVILLIAN_MAX_BYTES`` is refused before anything is allocated or
+    copied.  H and L must be real (ValueError otherwise).
     """
-    h = _matrix_of(hamiltonian)
-    lop = _matrix_of(lindblad_op)
-    dim = h.shape[0]
-    nbytes = dim**4 * np.dtype(complex).itemsize
+    dim = _matrix_of(hamiltonian).shape[0]
+    nbytes = dim**4 * np.dtype(float).itemsize
     if nbytes > LIOUVILLIAN_MAX_BYTES:
         raise ValueError(
             f"superoperator for dim {dim} would take {nbytes / 2**20:.0f} MiB "
             f"(> {LIOUVILLIAN_MAX_BYTES / 2**20:.0f} MiB); use rk4_evolve for this size"
         )
+    h = _real_matrix_of(hamiltonian, "hamiltonian")
+    lop = _real_matrix_of(lindblad_op, "lindblad_op")
     ident = np.eye(dim)
-    g = lop.conj().T @ lop
-    return (
-        -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-        + np.kron(lop, lop.conj())
-        - 0.5 * (np.kron(g, ident) + np.kron(ident, g.T))
-    )
+    half_g = 0.5 * (lop.T @ lop)
+    # right-multiplying by S permutes the columns: column (i, j) <- (j, i)
+    transposed = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    lv = np.kron(ident, h)
+    lv -= np.kron(h, ident)
+    lv = lv[:, transposed]
+    lv += np.kron(lop, lop)
+    lv -= np.kron(half_g, ident)
+    lv -= np.kron(ident, half_g)
+    return lv
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +360,22 @@ def _step_count(t_max: float, dt: float) -> int:
 def _real_matrix_of(op, name: str) -> np.ndarray:
     m = _matrix_of(op)
     if np.iscomplexobj(m) and np.any(m.imag):
-        raise ValueError(f"rk4_evolve needs a real {name}; got a nonzero imaginary part")
+        raise ValueError(f"{name} must be real; got a nonzero imaginary part")
     return np.ascontiguousarray(m.real, dtype=float)
+
+
+def _real_state_of(rho0) -> np.ndarray:
+    """R0 = Re rho + Im rho of the Hermitian part rho of rho0, a new real array.
+
+    R cannot hold a non-Hermitian part, so a rho0 whose Hermiticity error
+    exceeds 1e-10 (the ``validate`` default) is refused with ValueError.
+    """
+    rho0 = _matrix_of(rho0)
+    herm_err = DensityMatrix(rho0).hermiticity_error
+    if herm_err > 1e-10:
+        raise ValueError(f"rho0 is not Hermitian: hermiticity error {herm_err:.3e} > 1e-10")
+    herm = 0.5 * (rho0 + rho0.conj().T)
+    return np.real(herm) + np.imag(herm)
 
 
 def _real_operands(h: np.ndarray, lop: np.ndarray) -> tuple:
@@ -455,10 +467,9 @@ def rk4_evolve(
     arrays otherwise.  A step works in four preallocated dim x dim buffers
     and updates R in place.  Every real R encodes a Hermitian rho, so no step
     can leave the Hermitian matrices, and the records take the decoded rho as
-    exactly Hermitian (``max_hermiticity_error`` is 0.0).  The encoding cannot
-    hold a non-Hermitian part: R0 is built from the Hermitian part of rho0,
-    and a rho0 whose Hermiticity error exceeds 1e-10 (the ``validate``
-    default) is refused with ValueError.
+    exactly Hermitian (``max_hermiticity_error`` is 0.0).  A rho0 whose
+    Hermiticity error exceeds 1e-10 is refused with ValueError (see
+    ``_real_state_of``).
     """
     h = _real_matrix_of(hamiltonian, "hamiltonian")
     lop = _real_matrix_of(lindblad_op, "lindblad_op")
@@ -467,11 +478,7 @@ def rk4_evolve(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = _step_count(t_max, dt)
-    rho0 = _matrix_of(rho0)
-    herm_err = DensityMatrix(rho0).hermiticity_error
-    if herm_err > 1e-10:
-        raise ValueError(f"rho0 is not Hermitian: hermiticity error {herm_err:.3e} > 1e-10")
-    herm = 0.5 * (rho0 + rho0.conj().T)
+    r0 = _real_state_of(rho0)
     rhs = _real_rhs(*_real_operands(h, lop))
     acc, slope, stage = (np.empty(h.shape) for _ in range(3))
     rho = np.empty(h.shape, dtype=complex)
@@ -497,7 +504,7 @@ def rk4_evolve(
         return r
 
     return _run_trajectory(
-        np.real(herm) + np.imag(herm), step, lambda r: _density_of_real(r, rho),
+        r0, step, lambda r: _density_of_real(r, rho),
         np.arange(n_steps + 1) * dt,
         pair_count=pair_count, electric_square=electric_square, stride=stride, hermitian=True,
     )
@@ -507,14 +514,19 @@ def rk4_evolve(
 # exact propagation
 # ---------------------------------------------------------------------------
 
-def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
-    """rho(t) = unvec( expm(Lv t) vec(rho0) ), scaling-and-squaring expm."""
-    rho0 = _matrix_of(rho0)
-    dim = rho0.shape[0]
+def _real_flow(rho0, hamiltonian, lindblad_op, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """R0 (see ``_real_state_of``) and the propagator expm(Lv t) of vec(R),
+    scaling-and-squaring expm; H and L must be real."""
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
-    prop = scipy.linalg.expm(lv * t)
-    rho_t = (prop @ rho0.astype(complex).reshape(-1)).reshape(dim, dim)
-    return DensityMatrix(rho_t)
+    r0 = _real_state_of(rho0)
+    return r0, scipy.linalg.expm(lv * t)
+
+
+def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
+    """rho(t), decoded from vec(R(t)) = expm(Lv t) vec(R0); Hermitian bit for bit."""
+    r0, prop = _real_flow(rho0, hamiltonian, lindblad_op, t)
+    r_t = (prop @ r0.ravel()).reshape(r0.shape)
+    return DensityMatrix(_density_of_real(r_t, np.empty(r0.shape, dtype=complex)))
 
 
 def exact_evolve(
@@ -529,8 +541,10 @@ def exact_evolve(
     """Evaluate the exact solution on a uniform, increasing time grid.
 
     One matrix exponential for the grid spacing, then repeated superoperator
-    matvecs; the grid must start at 0 and be uniform so a single propagator
-    can be reused.
+    matvecs on vec(R); the grid must start at 0 and be uniform so a single
+    propagator can be reused.  H and L must be real and rho0 Hermitian, as
+    for ``rk4_evolve``, and the records take the decoded rho as exactly
+    Hermitian (``max_hermiticity_error`` is 0.0).
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or len(times) < 2:
@@ -538,14 +552,12 @@ def exact_evolve(
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, times[-1]):
         raise ValueError("time grid must be uniform")
-    rho0 = _matrix_of(rho0)
-    dim = rho0.shape[0]
-    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
-    prop = scipy.linalg.expm(lv * steps[0])
+    r0, prop = _real_flow(rho0, hamiltonian, lindblad_op, steps[0])
+    rho = np.empty(r0.shape, dtype=complex)
     return _run_trajectory(
-        rho0.astype(complex).reshape(-1), lambda vec, k: prop @ vec,
-        lambda vec: vec.reshape(dim, dim), times,
-        pair_count=pair_count, electric_square=electric_square,
+        r0.ravel(), lambda vec, k: prop @ vec,
+        lambda vec: _density_of_real(vec.reshape(r0.shape), rho), times,
+        pair_count=pair_count, electric_square=electric_square, hermitian=True,
     )
 
 
@@ -557,60 +569,47 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
     The kernel of the generator can be degenerate (dimension 3 at N = 4 and 2
     at N = 5 in the truncated sector, which splits into blocks that H and L
     never connect), so "the" null vector is not unique and an arbitrary one
-    need not be a density matrix.  The time average of exp(Lv t) vec(rho0) is
-    the spectral projection of rho0 onto the kernel, R (Lk^H R)^-1 Lk^H
-    vec(rho0), with R and Lk the right and left kernels; both come from one
-    SVD of Lv (singular values <= 1e-10 times the largest, at least one).  The
-    flow is positivity preserving, and so is its time average, so the result
-    from 1/dim, which has weight in every block, is positive semi-definite.
-    Returned Hermitized, trace one.
+    need not be a density matrix.  The time average of exp(Lv t) vec(R0) is
+    the spectral projection of R0 onto the kernel, K (Lk^T K)^-1 Lk^T
+    vec(R0), with K and Lk the right and left kernels of the real Lv; both
+    come from one SVD of Lv (singular values <= 1e-10 times the largest, at
+    least one).  The flow is positivity preserving, and so is its time
+    average, so the result from 1/dim, which has weight in every block, is
+    positive semi-definite.  Returned with trace one, decoded from R and so
+    Hermitian bit for bit.
     """
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     dim = _matrix_of(hamiltonian).shape[0]
     u, sv, vh = np.linalg.svd(lv)
     k = max(1, int(np.count_nonzero(sv <= 1e-10 * sv[0])))
-    right, left_h = vh[-k:].conj().T, u[:, -k:].conj().T
-    mixed = np.eye(dim, dtype=complex).reshape(-1) / dim
-    rho = (right @ np.linalg.solve(left_h @ right, left_h @ mixed)).reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
+    right, left_t = vh[-k:].T, u[:, -k:].T
+    mixed = np.eye(dim).ravel() / dim
+    r = (right @ np.linalg.solve(left_t @ right, left_t @ mixed)).reshape(dim, dim)
+    tr = np.trace(r)
     if abs(tr) < 1e-12:
         raise RuntimeError("steady-state candidate has (near-)zero trace")
-    return DensityMatrix(rho / tr)
+    return DensityMatrix(_density_of_real(r / tr, np.empty((dim, dim), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
 # thermal reference
 # ---------------------------------------------------------------------------
 
-def _thermal_weights(hamiltonian, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of H and their Boltzmann weights exp(-beta E) / Z,
-    ground-state shifted."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    evals, evecs = np.linalg.eigh(_matrix_of(hamiltonian))
-    w = np.exp(-beta * (evals - evals[0]))
-    return evecs, w / w.sum()
-
-
-def gibbs_state(hamiltonian, beta: float) -> DensityMatrix:
-    """exp(-beta H) / Z via eigendecomposition."""
-    evecs, w = _thermal_weights(hamiltonian, beta)
-    rho = (evecs * w) @ evecs.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho)
-
-
 def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> dict:
     """Thermal expectation values used as the equilibrium reference lines.
 
     Both observables must be diagonal in the sector basis (ValueError
-    otherwise), so only the diagonal of the Gibbs state, sum_k w_k |v_k|^2,
-    is formed: O(dim^2) after the eigendecomposition instead of the O(dim^3)
-    product that builds the state.
+    otherwise), so only the diagonal of the Gibbs state exp(-beta H) / Z,
+    sum_k w_k |v_k|^2 with the Boltzmann weights w_k of the eigenvectors v_k
+    (ground-state shifted), is formed: O(dim^2) after the eigendecomposition
+    instead of the O(dim^3) product that builds the state.  A negative beta
+    is refused with ValueError.
     """
-    evecs, w = _thermal_weights(hamiltonian, beta)
-    occupation = (np.abs(evecs) ** 2) @ w
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    evals, evecs = np.linalg.eigh(_matrix_of(hamiltonian))
+    w = np.exp(-beta * (evals - evals[0]))
+    occupation = (np.abs(evecs) ** 2) @ (w / w.sum())
     return {
         "beta": beta,
         "n_pairs": float(occupation @ _diagonal_of(pair_count, "pair_count")),

@@ -103,7 +103,7 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     assert sidecar["config"]["dt"] == 0.01
     assert sidecar["config"]["truncate_total_flux"] is True
     assert sidecar["gibbs_reference"]["beta"] == pytest.approx(0.1)
-    assert sidecar["record"]["times"] == rec.times.tolist()
+    assert set(sidecar) == {"config", "gibbs_reference", "wall_time_s"}
 
 
 def test_evolve_output_is_deterministic(tmp_path):

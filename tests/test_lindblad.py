@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from openschwinger import (
     exact_propagate,
     expectation,
     gibbs_reference,
-    gibbs_state,
     lindblad_rhs,
     project_operator,
     rk4_evolve,
@@ -169,11 +169,14 @@ def test_rhs_kills_the_trace_and_preserves_hermiticity(n2_setup, rng):
 
 
 def test_rhs_agrees_with_the_vectorized_liouvillian(n2_setup, rng):
+    # Lv acts on vec(R), R = Re rho + Im rho; decoded, it is the complex rhs
     _, _, ops, _, lop = n2_setup
     lv = vectorized_liouvillian(ops.hamiltonian, lop)
+    assert lv.dtype == np.float64
     rho = random_density(rng, lop.shape[0])
-    direct = lindblad_rhs(rho, ops.hamiltonian, lop)
-    assert np.allclose(lv @ rho.ravel(), direct.ravel(), atol=1e-12)
+    r = lindblad._real_state_of(rho)
+    drho = lindblad._density_of_real((lv @ r.ravel()).reshape(r.shape), np.empty_like(rho))
+    assert np.max(np.abs(drho - lindblad_rhs(rho, ops.hamiltonian, lop))) < 1e-12
 
 
 def test_liouvillian_left_null_vector_is_the_trace(n2_setup):
@@ -237,15 +240,26 @@ def test_rk4_steps_a_complex_hermitian_state(n2_setup):
     assert np.max(np.abs(rec.n_pairs - exact.n_pairs)) < 1e-8
     assert np.max(np.abs(rec.e2 - exact.e2)) < 1e-8
     assert np.max(np.abs(rec.purity - exact.purity)) < 1e-8
+    assert exact.max_hermiticity_error == 0.0
 
 
-def test_rk4_refuses_a_non_hermitian_rho0(n2_setup):
+# every engine on the real state R, run briefly on (rho0, H, L)
+REAL_STATE_ENGINES = {
+    "rk4_evolve": lambda rho0, h, lop, kw: rk4_evolve(rho0, h, lop, 0.1, 0.01, **kw),
+    "exact_evolve": lambda rho0, h, lop, kw: exact_evolve(rho0, h, lop, [0.0, 0.1], **kw),
+    "exact_propagate": lambda rho0, h, lop, kw: exact_propagate(rho0, h, lop, 0.1),
+    "steady_state": lambda rho0, h, lop, kw: steady_state(h, lop),
+}
+
+
+@pytest.mark.parametrize("engine", ["rk4_evolve", "exact_evolve", "exact_propagate"])
+def test_rk4_refuses_a_non_hermitian_rho0(n2_setup, engine):
     _, _, ops, _, lop = n2_setup
     rho0 = random_density(np.random.default_rng(5), ops.dim)
     rho0 = rho0 + 1e-6 * np.triu(np.ones((ops.dim, ops.dim)), 1)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
     with pytest.raises(ValueError, match="rho0"):
-        rk4_evolve(rho0, ops.hamiltonian, lop, t_max=0.1, dt=0.01,
-                   pair_count=ops.pair_count, electric_square=ops.electric_square)
+        REAL_STATE_ENGINES[engine](rho0, ops.hamiltonian, lop, kw)
 
 
 def test_rk4_holds_a_complex_state_to_the_long_horizon_without_projection():
@@ -265,14 +279,15 @@ def test_rk4_holds_a_complex_state_to_the_long_horizon_without_projection():
     assert rec.max_hermiticity_error == 0.0
 
 
-def test_rk4_rejects_a_complex_hamiltonian(n2_setup):
+@pytest.mark.parametrize("engine", sorted(REAL_STATE_ENGINES))
+def test_rk4_rejects_a_complex_hamiltonian(n2_setup, engine):
     _, _, ops, _, lop = n2_setup
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
     upper = np.triu(np.ones((ops.dim, ops.dim)), 1)
     h = ops.hamiltonian.matrix + 1e-3j * (upper - upper.T)  # still Hermitian
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
     with pytest.raises(ValueError, match="imaginary"):
-        rk4_evolve(rho0, h, lop, t_max=0.1, dt=0.01,
-                   pair_count=ops.pair_count, electric_square=ops.electric_square)
+        REAL_STATE_ENGINES[engine](rho0, h, lop, kw)
 
 
 def test_real_state_decodes_to_an_exactly_hermitian_matrix():
@@ -438,6 +453,46 @@ def test_exact_propagation_satisfies_the_semigroup_property(n2_setup):
     assert np.max(np.abs(one_shot.matrix - chained.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("n_sites, kernel_dim", [(4, 3), (5, 2)])
+def test_exact_engines_match_the_complex_superoperator(n_sites, kernel_dim):
+    # test-only oracle: the complex generator on row-major vec(rho),
+    # -i (H kron 1 - 1 kron H^T) + L kron conj(L) - 1/2 (G kron 1 + 1 kron G^T)
+    _, _, ops, _, lop = standard_setup(n_sites)
+    h, dim = ops.hamiltonian.matrix, ops.dim
+    rho0 = random_density(np.random.default_rng(n_sites), dim)
+    rec = exact_evolve(rho0, ops.hamiltonian, lop, np.arange(11) * 0.2,
+                       pair_count=ops.pair_count, electric_square=ops.electric_square)
+    steady = steady_state(ops.hamiltonian, lop).matrix
+
+    # sparse kron products, expm_multiply and pivoted QR keep the N = 5 case
+    # near 320 MB of RSS (about 520 MB with a dense expm and SVD)
+    kron = scipy.sparse.kron
+    ident, g = scipy.sparse.eye_array(dim), lop.T @ lop
+    lv = (-1j * (kron(h, ident) - kron(ident, h.T)) + kron(lop, lop.conj())
+          - 0.5 * (kron(g, ident) + kron(ident, g.T))).tocsr()
+    flow = scipy.sparse.linalg.expm_multiply(lv, rho0.ravel(), start=0.0, stop=2.0, num=11)
+    for k, vec in enumerate(flow):
+        dm = DensityMatrix(vec.reshape(dim, dim))
+        expected = (expectation(dm, ops.pair_count), expectation(dm, ops.electric_square),
+                    dm.trace, dm.purity, dm.min_eigenvalue)
+        got = (rec.n_pairs[k], rec.e2[k], rec.trace[k], rec.purity[k], rec.min_eig[k])
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-12, k
+
+    def null_space_of_adjoint(a):
+        # the trailing columns of Q in the pivoted QR a P = Q R span range(a)^perp
+        q, r, _ = scipy.linalg.qr(a, overwrite_a=True, pivoting=True)
+        d = np.abs(np.diagonal(r))
+        return q[:, np.count_nonzero(d > 1e-10 * d[0]):].copy()
+
+    right = null_space_of_adjoint(lv.conj().T.toarray(order="F"))
+    left = null_space_of_adjoint(lv.toarray(order="F"))
+    assert right.shape[1] == left.shape[1] == kernel_dim
+    mixed = np.eye(dim).ravel() / dim
+    ss = (right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ mixed)).reshape(dim, dim)
+    ss /= np.trace(ss).real
+    assert np.max(np.abs(steady - ss)) < 1e-12
+
+
 def test_exact_evolve_endpoint_matches_exact_propagate(n2_setup):
     _, _, ops, _, lop = n2_setup
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
@@ -480,18 +535,21 @@ def test_steady_state_from_a_degenerate_kernel_is_a_density_matrix():
     assert np.max(np.abs(ss.matrix - ss_oracle.matrix)) <= 1e-10
 
 
-def test_gibbs_state_at_infinite_temperature_is_maximally_mixed(n2_setup):
+def test_gibbs_reference_at_infinite_temperature_is_the_uniform_mean(n2_setup):
     _, _, ops, _, _ = n2_setup
-    rho = gibbs_state(ops.hamiltonian, 0.0)
-    assert np.allclose(rho.matrix, np.eye(ops.dim) / ops.dim, atol=1e-14)
+    ref = gibbs_reference(ops.hamiltonian, 0.0, ops.pair_count, ops.electric_square)
+    assert ref["n_pairs"] == pytest.approx(np.mean(np.diag(ops.pair_count.matrix)), abs=1e-14)
+    assert ref["e2"] == pytest.approx(np.mean(np.diag(ops.electric_square.matrix)), abs=1e-14)
 
 
-def test_gibbs_state_matches_the_matrix_exponential(n2_setup):
+def test_gibbs_reference_matches_the_matrix_exponential(n2_setup):
     _, _, ops, _, _ = n2_setup
     beta = 0.37
     direct = scipy.linalg.expm(-beta * ops.hamiltonian.matrix)
     direct /= np.trace(direct)
-    assert np.allclose(gibbs_state(ops.hamiltonian, beta).matrix, direct, atol=1e-12)
+    ref = gibbs_reference(ops.hamiltonian, beta, ops.pair_count, ops.electric_square)
+    assert ref["n_pairs"] == pytest.approx(expectation(direct, ops.pair_count), abs=1e-12)
+    assert ref["e2"] == pytest.approx(expectation(direct, ops.electric_square), abs=1e-12)
 
 
 def test_gibbs_reference_values_are_frozen(n2_setup):
@@ -502,7 +560,7 @@ def test_gibbs_reference_values_are_frozen(n2_setup):
     assert ref["n_pairs"] == pytest.approx(GIBBS_N2_PAIRS, abs=1e-12)
 
 
-def test_gibbs_state_rejects_negative_beta(n2_setup):
+def test_gibbs_reference_rejects_negative_beta(n2_setup):
     _, _, ops, _, _ = n2_setup
     with pytest.raises(ValueError):
-        gibbs_state(ops.hamiltonian, -0.1)
+        gibbs_reference(ops.hamiltonian, -0.1, ops.pair_count, ops.electric_square)
