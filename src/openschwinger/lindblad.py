@@ -20,8 +20,10 @@ recorded observables must be diagonal in the sector basis:
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
                       matrix products per right-hand side, sparse (CSR) when H
                       and L are, and no Hermitian projection
-* ``exact_evolve``    matrix exponential of the vectorized generator,
-                      small sectors only (the superoperator is dim^2 x dim^2)
+* ``exact_evolve``    action of the exponential of the vectorized generator,
+                      a sparse dim^2 x dim^2 matrix, on vec(R0): the
+                      truncated sectors up to N = 6 (``steady_state`` up to
+                      N = 5)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
 
 RK4 and the exact engine (with ``exact_propagate`` and ``steady_state``) need
@@ -42,7 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+# scipy.sparse.linalg (expm_multiply, splu, eigs) is left to SciPy's lazy
+# submodule loading: only the exact engines use it, and importing it raises
+# the peak RSS of a process that imports this package from 49 to 59 MB
 import scipy.sparse
 
 from .lattice import LatticeSpec
@@ -62,6 +66,7 @@ __all__ = [
     "expectation",
     "TRACE_ABORT_TOL",
     "LIOUVILLIAN_MAX_BYTES",
+    "STEADY_STATE_MAX_ORDER",
 ]
 
 # rk4 aborts when the trace drifts this far from one (or turns non-finite)
@@ -73,14 +78,25 @@ TRACE_ABORT_TOL = 1e-6
 # (dim 4 to 41) and CSR from 0.06 on (N = 6, dim 109: 2.1 -> 1.3 ms).
 RK4_SPARSE_BELOW = 0.1
 
-# Largest dense superoperator (dim^4 real entries, 8 B each) that
-# ``vectorized_liouvillian`` builds.  Its users peak at several copies of that
-# size (peak RSS measured at dim 41: 2 while assembling the kron terms, 8.3
-# in ``expm`` with the generator, 8.5 in the SVD of ``steady_state``), so
-# 256 MiB keeps the peak near 2.2 GB on a 7 GB machine.  It admits dim <= 76,
-# i.e. the truncated sectors up to N = 5 (dim 41, 22.6 MB), and refuses N = 6
-# (dim 109, 1.1 GB per copy).
-LIOUVILLIAN_MAX_BYTES = 256 * 2**20
+# Largest CSR generator that ``vectorized_liouvillian`` builds, checked
+# against the bound on its nonzeros before anything is assembled.  Assembly
+# peaks near three times the result and ``expm_multiply`` holds one shifted
+# copy besides it (peak RSS measured at dim 109: +37 MB to build the 12.3 MiB
+# generator, +74 MB for ``exact_evolve`` over 201 points).  64 MiB admits the
+# truncated sectors up to N = 6 (dim 109, bound 13.7 MiB) and refuses N = 7
+# (dim 284, bound 139 MiB; a probe with the complex generator took 817 s to
+# reach t = 10 there).
+LIOUVILLIAN_MAX_BYTES = 64 * 2**20
+
+# Largest generator order dim^2 for which ``steady_state`` factorizes
+# mu I - Lv.  At N = 5 (order 1681) the sparse LU takes 0.2 s with 1.3 M
+# nonzeros of fill; at N = 6 (order 11881) it took 66 s with 71 M nonzeros
+# and a 1.6 GB peak RSS, so 4096 (dim <= 64) stops at N = 5.
+STEADY_STATE_MAX_ORDER = 4096
+
+# ``exact_evolve`` holds at most this many bytes of grid states per
+# ``expm_multiply`` call (one call for 201 points up to N = 6)
+_EXACT_GRID_BYTES = 64 * 2**20
 
 
 def _matrix_of(op) -> np.ndarray:
@@ -258,33 +274,33 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
     )
 
 
-def vectorized_liouvillian(hamiltonian, lindblad_op) -> np.ndarray:
-    """Dense real superoperator on row-major vec(R) (see module docstring).
+def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
+    """The real generator on row-major vec(R) (see module docstring), a
+    dim^2 x dim^2 CSR matrix.
 
-    Dimension is dim^2 x dim^2, so this is guarded: a matrix of more than
-    ``LIOUVILLIAN_MAX_BYTES`` is refused before anything is allocated or
-    copied.  H and L must be real (ValueError otherwise).
+    Guarded: the nonzeros of its terms bound its size, 2 dim nnz(H) + nnz(L)^2
+    + 2 dim nnz(L^T L) entries of 12 B (a float64 value and an int32 column
+    index) plus the row pointers, and a generator whose bound exceeds
+    ``LIOUVILLIAN_MAX_BYTES`` is refused before any kron product is formed.
+    H and L must be real (ValueError otherwise).
     """
-    dim = _matrix_of(hamiltonian).shape[0]
-    nbytes = dim**4 * np.dtype(float).itemsize
+    h = scipy.sparse.csr_array(_real_matrix_of(hamiltonian, "hamiltonian"))
+    lop = scipy.sparse.csr_array(_real_matrix_of(lindblad_op, "lindblad_op"))
+    half_g = 0.5 * (lop.T @ lop)
+    dim = h.shape[0]
+    nnz = 2 * dim * h.nnz + lop.nnz**2 + 2 * dim * half_g.nnz
+    nbytes = 12 * nnz + 4 * (dim**2 + 1)
     if nbytes > LIOUVILLIAN_MAX_BYTES:
         raise ValueError(
-            f"superoperator for dim {dim} would take {nbytes / 2**20:.0f} MiB "
+            f"superoperator for dim {dim} could take {nbytes / 2**20:.0f} MiB "
             f"(> {LIOUVILLIAN_MAX_BYTES / 2**20:.0f} MiB); use rk4_evolve for this size"
         )
-    h = _real_matrix_of(hamiltonian, "hamiltonian")
-    lop = _real_matrix_of(lindblad_op, "lindblad_op")
-    ident = np.eye(dim)
-    half_g = 0.5 * (lop.T @ lop)
+    kron = scipy.sparse.kron
+    ident = scipy.sparse.eye_array(dim, format="csr")
     # right-multiplying by S permutes the columns: column (i, j) <- (j, i)
     transposed = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    lv = np.kron(ident, h)
-    lv -= np.kron(h, ident)
-    lv = lv[:, transposed]
-    lv += np.kron(lop, lop)
-    lv -= np.kron(half_g, ident)
-    lv -= np.kron(ident, half_g)
-    return lv
+    commutator = (kron(ident, h, format="csr") - kron(h, ident, format="csr"))[:, transposed]
+    return (commutator + kron(lop, lop) - kron(half_g, ident) - kron(ident, half_g)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +530,28 @@ def rk4_evolve(
 # exact propagation
 # ---------------------------------------------------------------------------
 
-def _real_flow(rho0, hamiltonian, lindblad_op, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """R0 (see ``_real_state_of``) and the propagator expm(Lv t) of vec(R),
-    scaling-and-squaring expm; H and L must be real."""
-    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
-    r0 = _real_state_of(rho0)
-    return r0, scipy.linalg.expm(lv * t)
+def _expm_multiply(lv, vec, **grid) -> np.ndarray:
+    """``scipy.sparse.linalg.expm_multiply(lv, vec, **grid)``, repeatable and
+    leaving numpy's global RNG as it found it.
+
+    Its 1-norm estimates (``onenormest``) draw random sign vectors from the
+    global ``np.random`` state, and the estimates pick the Taylor degree and
+    step count, so the draws are seeded with 0 here and the caller's state is
+    restored afterwards.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return scipy.sparse.linalg.expm_multiply(lv, vec, **grid)
+    finally:
+        np.random.set_state(state)
 
 
 def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
     """rho(t), decoded from vec(R(t)) = expm(Lv t) vec(R0); Hermitian bit for bit."""
-    r0, prop = _real_flow(rho0, hamiltonian, lindblad_op, t)
-    r_t = (prop @ r0.ravel()).reshape(r0.shape)
+    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
+    r0 = _real_state_of(rho0)
+    r_t = _expm_multiply(lv * t, r0.ravel()).reshape(r0.shape)
     return DensityMatrix(_density_of_real(r_t, np.empty(r0.shape, dtype=complex)))
 
 
@@ -540,11 +566,14 @@ def exact_evolve(
 ) -> EvolutionRecord:
     """Evaluate the exact solution on a uniform, increasing time grid.
 
-    One matrix exponential for the grid spacing, then repeated superoperator
-    matvecs on vec(R); the grid must start at 0 and be uniform so a single
-    propagator can be reused.  H and L must be real and rho0 Hermitian, as
-    for ``rk4_evolve``, and the records take the decoded rho as exactly
-    Hermitian (``max_hermiticity_error`` is 0.0).
+    The states come from the action of expm(Lv t) on vec(R0) over the grid
+    (``expm_multiply``, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)); Lv stays sparse and is never exponentiated.  The grid must start
+    at 0 and be uniform.  It is taken in one call when its states fit in
+    ``_EXACT_GRID_BYTES`` and in consecutive blocks of that size otherwise,
+    each starting from the last state of the one before.  H and L must be
+    real and rho0 Hermitian, as for ``rk4_evolve``, and the records take the
+    decoded rho as exactly Hermitian (``max_hermiticity_error`` is 0.0).
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or len(times) < 2:
@@ -552,13 +581,58 @@ def exact_evolve(
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, times[-1]):
         raise ValueError("time grid must be uniform")
-    r0, prop = _real_flow(rho0, hamiltonian, lindblad_op, steps[0])
+    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
+    r0 = _real_state_of(rho0)
+    block = max(1, _EXACT_GRID_BYTES // r0.nbytes - 1)  # steps per call
+
+    def states():
+        vec = r0.ravel()
+        for first in range(0, len(steps), block):
+            last = min(first + block, len(steps))
+            grid = _expm_multiply(lv, vec, start=0.0, stop=times[last] - times[first],
+                                  num=last - first + 1, endpoint=True)
+            yield from grid[1:]
+            vec = grid[-1]
+
+    flow = states()
     rho = np.empty(r0.shape, dtype=complex)
     return _run_trajectory(
-        r0.ravel(), lambda vec, k: prop @ vec,
+        r0.ravel(), lambda vec, k: next(flow),
         lambda vec: _density_of_real(vec.reshape(r0.shape), rho), times,
         pair_count=pair_count, electric_square=electric_square, hermitian=True,
     )
+
+
+def _kernels(lv) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of the right and left kernels of the sparse generator ``lv``, as
+    columns (complex Ritz vectors spanning the real kernels).
+
+    Shift-invert Arnoldi (ARPACK) on one sparse LU factorization of
+    mu I - Lv, mu = 1e-6 ||Lv||_inf: the solve has the eigenvalues
+    theta = 1/(mu - lambda), largest for the eigenvalues lambda of Lv nearest
+    0, and its transposed solve those of Lv^T.  A Ritz value is kernel when
+    |lambda| <= 1e-10 ||Lv||_inf; the number of Ritz pairs starts at 4 and
+    doubles while every one is kernel.  ``v0`` is fixed, so the result is
+    repeatable.
+    """
+    n = lv.shape[0]
+    scale = float(np.max(abs(lv).sum(axis=1)))
+    shift = 1e-6 * scale
+    lu = scipy.sparse.linalg.splu((shift * scipy.sparse.eye_array(n) - lv).tocsc())
+
+    def kernel(trans):
+        solve = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda x: lu.solve(x, trans=trans), dtype=float,
+        )
+        k = min(4, n - 2)
+        while True:
+            theta, vecs = scipy.sparse.linalg.eigs(solve, k=k, v0=np.ones(n))
+            is_kernel = np.abs(shift - 1.0 / theta) <= 1e-10 * scale
+            if not is_kernel.all() or k == n - 2:
+                return vecs[:, is_kernel]
+            k = min(2 * k, n - 2)
+
+    return kernel("N"), kernel("T")
 
 
 def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
@@ -571,20 +645,23 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
     never connect), so "the" null vector is not unique and an arbitrary one
     need not be a density matrix.  The time average of exp(Lv t) vec(R0) is
     the spectral projection of R0 onto the kernel, K (Lk^T K)^-1 Lk^T
-    vec(R0), with K and Lk the right and left kernels of the real Lv; both
-    come from one SVD of Lv (singular values <= 1e-10 times the largest, at
-    least one).  The flow is positivity preserving, and so is its time
-    average, so the result from 1/dim, which has weight in every block, is
-    positive semi-definite.  Returned with trace one, decoded from R and so
-    Hermitian bit for bit.
+    vec(R0), with K and Lk the right and left kernels of the real Lv, both
+    from shift-invert Arnoldi on one sparse LU factorization (see
+    ``_kernels``).  A sector with dim^2 above ``STEADY_STATE_MAX_ORDER`` is
+    refused with ValueError before Lv is built.  The flow is positivity
+    preserving, and so is its time average, so the result from 1/dim, which
+    has weight in every block, is positive semi-definite.  Returned with
+    trace one, decoded from R and so Hermitian bit for bit.
     """
-    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     dim = _matrix_of(hamiltonian).shape[0]
-    u, sv, vh = np.linalg.svd(lv)
-    k = max(1, int(np.count_nonzero(sv <= 1e-10 * sv[0])))
-    right, left_t = vh[-k:].T, u[:, -k:].T
+    if dim**2 > STEADY_STATE_MAX_ORDER:
+        raise ValueError(
+            f"steady state for dim {dim} needs the LU factors of an order-{dim**2} "
+            f"generator (> {STEADY_STATE_MAX_ORDER}); run rk4_evolve to late times instead"
+        )
+    right, left = _kernels(vectorized_liouvillian(hamiltonian, lindblad_op))
     mixed = np.eye(dim).ravel() / dim
-    r = (right @ np.linalg.solve(left_t @ right, left_t @ mixed)).reshape(dim, dim)
+    r = (right @ np.linalg.solve(left.T @ right, left.T @ mixed)).real.reshape(dim, dim)
     tr = np.trace(r)
     if abs(tr) < 1e-12:
         raise RuntimeError("steady-state candidate has (near-)zero trace")

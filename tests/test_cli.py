@@ -215,9 +215,17 @@ def test_compare_enforces_the_deviation_bound(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_compare_rk4_against_exact_at_six_sites(capsys):
+    code = run_cli(["compare", "--n-sites", "6", "--method-a", "rk4",
+                    "--method-b", "exact", "--t-max", "0.5", "--dt", "0.01",
+                    "--stride", "10", "--max-dev", "1e-6"])
+    assert code == 0
+    assert "e2: max |dev|" in capsys.readouterr().out
+
+
 def test_compare_writes_nothing_when_a_run_fails(tmp_path, capsys):
-    # rk4 succeeds; exact then refuses the dim-109 superoperator before allocating it
-    code = run_cli(["compare", "--n-sites", "6", "--method-a", "rk4", "--method-b", "exact",
+    # rk4 succeeds; exact then refuses the dim-284 superoperator before allocating it
+    code = run_cli(["compare", "--n-sites", "7", "--method-a", "rk4", "--method-b", "exact",
                     "--t-max", "0.1", "--dt", "0.01", "--out-a", str(tmp_path / "a.csv")])
     assert code == 1
     assert "superoperator" in capsys.readouterr().err

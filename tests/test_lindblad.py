@@ -41,6 +41,23 @@ GIBBS_N2_E2 = 0.3564747014220561
 GIBBS_N2_PAIRS = 0.9642044409706013
 
 
+def dense_liouvillian(h, lop):
+    """Test-only oracle: the real generator on row-major vec(R) as a dense
+    array, Lv = (1 kron H - H kron 1) S + L kron L - 1/2 (G kron 1 + 1 kron G)."""
+    dim = h.shape[0]
+    ident = np.eye(dim)
+    half_g = 0.5 * (lop.T @ lop)
+    # right-multiplying by S permutes the columns: column (i, j) <- (j, i)
+    transposed = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    lv = np.kron(ident, h)
+    lv -= np.kron(h, ident)
+    lv = lv[:, transposed]
+    lv += np.kron(lop, lop)
+    lv -= np.kron(half_g, ident)
+    lv -= np.kron(ident, half_g)
+    return lv
+
+
 def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
@@ -187,19 +204,47 @@ def test_liouvillian_left_null_vector_is_the_trace(n2_setup):
     assert np.max(np.abs(tr_functional @ lv)) < 1e-12
 
 
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_sparse_liouvillian_equals_the_dense_formula(n_sites):
+    _, _, ops, _, lop = standard_setup(n_sites)
+    lv = vectorized_liouvillian(ops.hamiltonian, lop)
+    assert isinstance(lv, scipy.sparse.csr_array)
+    assert np.max(np.abs(lv.toarray() - dense_liouvillian(ops.hamiltonian.matrix, lop))) < 1e-14
+
+
 def test_liouvillian_guard_against_huge_spaces():
-    # dim 109 is the truncated N = 6 sector, 2.3 GB per dense copy; both sizes
-    # are refused before the superoperator is allocated
-    for dim in (1001, 109):
-        h = np.zeros((dim, dim))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="superoperator"):
-                vectorized_liouvillian(h, h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    # the truncated N = 7 sector (dim 284): its CSR generator is bounded by
+    # 139 MiB and refused before any kron product is allocated
+    _, _, ops, _, lop = standard_setup(7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="superoperator"):
+            vectorized_liouvillian(ops.hamiltonian, lop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_steady_state_is_refused_at_six_sites_before_any_work():
+    # N = 6 (dim 109): the LU factors of the order-11881 generator are refused
+    # before the generator itself is built
+    _, _, ops, _, lop = standard_setup(6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="steady state"):
+            steady_state(ops.hamiltonian, lop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_sites, kernel_dim", [(2, 1), (3, 1), (4, 3), (5, 2)])
+def test_generator_kernel_dimensions(n_sites, kernel_dim):
+    _, _, ops, _, lop = standard_setup(n_sites)
+    right, left = lindblad._kernels(vectorized_liouvillian(ops.hamiltonian, lop))
+    assert right.shape[1] == left.shape[1] == kernel_dim
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +261,49 @@ def test_rk4_tracks_the_exact_solution(n2_setup):
                          pair_count=ops.pair_count, electric_square=ops.electric_square)
     assert np.max(np.abs(rec.n_pairs - exact.n_pairs)) < 1e-8
     assert np.max(np.abs(rec.e2 - exact.e2)) < 1e-8
+
+
+def test_rk4_tracks_the_exact_solution_at_six_sites():
+    # criterion 4's comparison on the truncated N = 6 sector (dim 109), where
+    # RK4 takes its CSR operands
+    _, _, ops, _, lop = standard_setup(6)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    obs = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, dt=0.005, stride=20, **obs)
+    exact = exact_evolve(rho0, ops.hamiltonian, lop, rec.times, **obs)
+    assert len(rec) == 11
+    assert np.max(np.abs(rec.n_pairs - exact.n_pairs)) < 1e-6
+    assert np.max(np.abs(rec.e2 - exact.e2)) < 1e-6
+    end = exact_propagate(rho0, ops.hamiltonian, lop, 1.0)
+    assert expectation(end, ops.electric_square) == pytest.approx(exact.e2[-1], abs=1e-12)
+
+
+def test_exact_engines_leave_the_global_rng_alone():
+    # expm_multiply's 1-norm estimates draw from np.random; the records must
+    # not depend on its seed, and the caller's state must come back untouched
+    _, _, ops, _, lop = standard_setup(4)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    times = np.arange(21) * 0.5
+    obs = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    lv = vectorized_liouvillian(ops.hamiltonian, lop)
+    np.random.seed(1)
+    state = np.random.get_state()[1].copy()
+    scipy.sparse.linalg.expm_multiply(lv, np.ones(ops.dim**2), start=0.0, stop=10.0, num=21)
+    assert not np.array_equal(np.random.get_state()[1], state)  # the estimates do draw
+
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        state = np.random.get_state()
+        rec = exact_evolve(rho0, ops.hamiltonian, lop, times, **obs)
+        end = exact_propagate(rho0, ops.hamiltonian, lop, 10.0)
+        after = np.random.get_state()
+        assert after[2:] == state[2:] and np.array_equal(after[1], state[1])
+        runs.append((rec, end))
+    (first, first_end), (second, second_end) = runs
+    for name in ("n_pairs", "e2", "trace", "purity", "min_eig"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    assert np.array_equal(first_end.matrix, second_end.matrix)
 
 
 def test_complex_dtype_hamiltonian_gives_the_same_record(n2_setup):
@@ -314,8 +402,8 @@ def test_both_operand_branches_compute_the_lindblad_generator(n_sites, sparse):
 
 
 def test_rk4_matches_a_plain_complex_rk4_in_the_sparse_branch():
-    # N = 6 has no exact oracle (its superoperator is refused), so the sparse
-    # real-state step is checked against textbook RK4 on lindblad_rhs
+    # the sparse real-state step at N = 6, checked step for step against
+    # textbook RK4 on lindblad_rhs
     _, _, ops, _, lop = standard_setup(6)
     rho0 = random_density(np.random.default_rng(23), ops.dim)
     dt, n_steps = 0.01, 20
@@ -444,6 +532,30 @@ def test_exact_evolve_validates_its_grid(n2_setup):
         exact_evolve(rho0, ops.hamiltonian, lop, np.array([0.0, 0.1, 0.3]), **kw)
 
 
+def test_exact_evolve_takes_a_long_grid_in_blocks(n2_setup, monkeypatch):
+    # five states per expm_multiply call: 20 steps in five blocks, each
+    # starting from the last state of the one before
+    _, _, ops, _, lop = n2_setup
+    rho0 = random_density(np.random.default_rng(29), ops.dim)
+    times = np.arange(21) * 0.25
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    whole = exact_evolve(rho0, ops.hamiltonian, lop, times, **kw)
+    calls = []
+    expm_multiply = lindblad._expm_multiply
+
+    def counted(*args, **grid):
+        calls.append(grid["num"])
+        return expm_multiply(*args, **grid)
+
+    monkeypatch.setattr(lindblad, "_EXACT_GRID_BYTES", 5 * ops.dim**2 * 8)
+    monkeypatch.setattr(lindblad, "_expm_multiply", counted)
+    blocks = exact_evolve(rho0, ops.hamiltonian, lop, times, **kw)
+    assert calls == [5] * 5
+    assert np.array_equal(blocks.times, whole.times)
+    for name in ("n_pairs", "e2", "trace", "purity", "min_eig"):
+        assert np.max(np.abs(getattr(blocks, name) - getattr(whole, name))) < 1e-13, name
+
+
 def test_exact_propagation_satisfies_the_semigroup_property(n2_setup):
     _, _, ops, _, lop = n2_setup
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
@@ -453,11 +565,15 @@ def test_exact_propagation_satisfies_the_semigroup_property(n2_setup):
     assert np.max(np.abs(one_shot.matrix - chained.matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("n_sites, kernel_dim", [(4, 3), (5, 2)])
-def test_exact_engines_match_the_complex_superoperator(n_sites, kernel_dim):
+@pytest.mark.parametrize("n_sites, kernel_dim, coupling", [
+    pytest.param(4, 3, 3.2, id="4-3"),
+    pytest.param(5, 2, 3.2, id="5-2"),
+    pytest.param(5, 2, 0.3, id="5-2-weak"),
+])
+def test_exact_engines_match_the_complex_superoperator(n_sites, kernel_dim, coupling):
     # test-only oracle: the complex generator on row-major vec(rho),
     # -i (H kron 1 - 1 kron H^T) + L kron conj(L) - 1/2 (G kron 1 + 1 kron G^T)
-    _, _, ops, _, lop = standard_setup(n_sites)
+    _, _, ops, _, lop = standard_setup(n_sites, coupling=coupling)
     h, dim = ops.hamiltonian.matrix, ops.dim
     rho0 = random_density(np.random.default_rng(n_sites), dim)
     rec = exact_evolve(rho0, ops.hamiltonian, lop, np.arange(11) * 0.2,
