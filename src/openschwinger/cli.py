@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -50,10 +51,21 @@ class NumericalCheckError(RuntimeError):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse ``type`` of every float flag: inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=1.0, help="lattice spacing (default 1)")
-    p.add_argument("--e", type=float, default=1.0, help="gauge coupling (default 1)")
-    p.add_argument("--m", type=float, default=0.1, help="fermion mass (default 0.1)")
+    p.add_argument("--a", type=_finite_float, default=1.0, help="lattice spacing (default 1)")
+    p.add_argument("--e", type=_finite_float, default=1.0, help="gauge coupling (default 1)")
+    p.add_argument("--m", type=_finite_float, default=0.1, help="fermion mass (default 0.1)")
 
 
 def _add_setup_args(p: argparse.ArgumentParser) -> None:
@@ -64,8 +76,8 @@ def _add_setup_args(p: argparse.ArgumentParser) -> None:
         help="keep the uniform background-flux loops (default: drop them, as in the device runs)",
     )
     _add_model_args(p)
-    p.add_argument("--beta", type=float, default=0.1, help="inverse temperature (default 0.1)")
-    p.add_argument("--coupling", type=float, default=3.2, help="system-environment coupling D (default 3.2)")
+    p.add_argument("--beta", type=_finite_float, default=0.1, help="inverse temperature (default 0.1)")
+    p.add_argument("--coupling", type=_finite_float, default=3.2, help="system-environment coupling D (default 3.2)")
 
 
 def _add_dynamics_basis_args(p: argparse.ArgumentParser) -> None:
@@ -74,8 +86,8 @@ def _add_dynamics_basis_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(p: argparse.ArgumentParser, *, dt: float, stride: int) -> None:
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=dt, help="step (rk4) or output grid spacing (exact)")
+    p.add_argument("--t-max", type=_finite_float, default=10.0)
+    p.add_argument("--dt", type=_finite_float, default=dt, help="step (rk4) or output grid spacing (exact)")
     p.add_argument("--n-cycles", type=int, default=200, help="dilation cycles (dilation method only)")
     p.add_argument("--stride", type=int, default=stride, help="record every STRIDE-th rk4 step")
 
@@ -457,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method-a", choices=("rk4", "dilation", "exact"), required=True)
     p.add_argument("--method-b", choices=("rk4", "dilation", "exact"), required=True)
     _add_run_args(p, dt=0.005, stride=1)
-    p.add_argument("--max-dev", type=float, help="exit 1 if max observable deviation exceeds this")
+    p.add_argument("--max-dev", type=_finite_float, help="exit 1 if max observable deviation exceeds this")
     p.add_argument("--out-a", help="optional CSV dump of the first run")
     p.add_argument("--out-b", help="optional CSV dump of the second run")
     p.set_defaults(func=cmd_compare)
@@ -467,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setup_args(p)
     p.add_argument("--method", choices=("rk4", "dilation", "exact"), default="rk4")
     _add_run_args(p, dt=0.01, stride=5)
-    p.add_argument("--tail-frac", type=float, default=0.2, help="trailing fraction averaged as 'equilibrium'")
+    p.add_argument("--tail-frac", type=_finite_float, default=0.2, help="trailing fraction averaged as 'equilibrium'")
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -19,7 +19,8 @@ recorded observables must be diagonal in the sector basis:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
                       matrix products per right-hand side, sparse (CSR) when H
-                      and L are, and no Hermitian projection
+                      and L are and run on two threads from dim 200 on (N = 7),
+                      and no Hermitian projection
 * ``exact_evolve``    action of the exponential of the vectorized generator,
                       a sparse dim^2 x dim^2 matrix, on vec(R0): the
                       truncated sectors up to N = 6 (``steady_state`` up to
@@ -41,6 +42,9 @@ S vec(R) = vec(R^T), the real generator on vec(R) is
 
 from __future__ import annotations
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,7 @@ import numpy as np
 # submodule loading: only the exact engines use it, and importing it raises
 # the peak RSS of a process that imports this package from 49 to 59 MB
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .lattice import LatticeSpec
 from .operators import HermitianOperator, ModelParams
@@ -77,6 +82,13 @@ TRACE_ABORT_TOL = 1e-6
 # wins at the fractions 0.56 to 0.13 of the truncated sectors N = 2 to 5
 # (dim 4 to 41) and CSR from 0.06 on (N = 6, dim 109: 2.1 -> 1.3 ms).
 RK4_SPARSE_BELOW = 0.1
+
+# From this sector dimension on, and when the process may run on more than one
+# CPU, the CSR right-hand side runs on two threads (``_threaded_real_rhs``).
+# Per right-hand side on two cores: 43-46 -> 24-26 ms at N = 8 (dim 800) and
+# 3.4-3.6 -> 2.0-3.3 ms at N = 7 (dim 284); at N = 6 (dim 109) the hand-offs
+# cost more than they save (0.36-0.44 -> 0.68-0.84 ms).
+RK4_THREADS_FROM_DIM = 200
 
 # Largest CSR generator that ``vectorized_liouvillian`` builds, checked
 # against the bound on its nonzeros before anything is assembled.  Assembly
@@ -366,7 +378,10 @@ def _run_trajectory(
 # ---------------------------------------------------------------------------
 
 def _step_count(t_max: float, dt: float) -> int:
-    """The number of ``dt`` steps in ``t_max``; ValueError unless whole (to 1e-9)."""
+    """The number of ``dt`` steps in ``t_max``; ValueError unless both are
+    finite and the count is whole (to 1e-9)."""
+    if not (np.isfinite(t_max) and np.isfinite(dt)):
+        raise ValueError(f"t_max and dt must be finite, got {t_max} and {dt}")
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"t_max {t_max} is not a whole number of steps of dt {dt}")
@@ -445,6 +460,74 @@ def _real_rhs(stacked, lop, half_lop_t):
     return rhs
 
 
+def _csr_product(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ x`` into ``out`` (both C-contiguous, ``a`` CSR), bit for bit.
+
+    ``a @ x`` runs SciPy's ``csr_matvecs`` kernel, which adds A X into a
+    zeroed result and releases the GIL; calling it on a zeroed ``out`` gives
+    the same numbers without allocating the result.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices,
+                             a.data, x.ravel(), out.ravel())
+    return out
+
+
+def _threaded_real_rhs(stacked, lop, half_lop_t, pool, spare: np.ndarray):
+    """``_real_rhs`` for CSR operands with the work split between the calling
+    thread and the single worker of ``pool``; dR/dt is bit for bit the same.
+
+    The seven half-products H R^T, L R^T, H R, L R, 1/2 L^T (L R^T),
+    L (L R^T)^T and 1/2 L^T (L R) run in two chains, one on the worker and one
+    on the calling thread, joined twice per call; the worker also takes one of
+    the two transposed copies.  The terms enter ``out`` in the serial order.
+    Each product is written into a dim x dim buffer (``_csr_product``).  Two
+    of the buffers are ``spare``, 2 dim^2 contiguous floats of the caller's
+    that every call overwrites: ``rk4_evolve`` lends its complex record
+    buffer, whose contents are dead between records.  The other two (R^T and
+    one product) are allocated per call by the calling thread, so the worker
+    allocates no array and both are free while the records run.  Kept alive
+    for the whole trajectory, the four buffers raised the peak RSS of a fresh
+    process running the N = 8 leg (20 steps, stride 5) from 149 to 160 MB; as
+    it is, the peak is 140 MB.
+    """
+    dim = lop.shape[0]
+    h = stacked[:dim]
+    b1, b2 = spare.reshape(2, dim, dim)
+
+    def neg_h_rt(rt, out):
+        np.negative(_csr_product(h, rt, out), out=out)
+
+    def rhs(r, out):
+        rt, b3 = np.empty((2, dim, dim))
+        h_r = pool.submit(_csr_product, h, r, b1)  # H R
+        np.copyto(rt, r.T)
+        first = pool.submit(neg_h_rt, rt, out)  # out = -H R^T
+        _csr_product(lop, rt, b2)  # L R^T
+        # the R^T buffer takes (L R^T)^T once the worker is done reading it
+        l_rt_t = pool.submit(np.copyto, rt, b2.T)
+        _csr_product(half_lop_t, b2, b3)  # 1/2 L^T (L R^T)
+        for done in (h_r, first, l_rt_t):
+            done.result()
+        l_r = pool.submit(_csr_product, lop, r, b2)
+        np.subtract(b1, b3, out=b1)
+        out += b1.T
+        last = pool.submit(_csr_product, half_lop_t, b2, b1)  # 1/2 L^T (L R)
+        out += _csr_product(lop, rt, b3)
+        l_r.result()
+        out -= last.result()
+        return out
+
+    return rhs
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _density_of_real(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write rho = (R + R^T)/2 + i (R - R^T)/2, Hermitian bit for bit, into the
     complex ``out``."""
@@ -481,7 +564,12 @@ def rk4_evolve(
     enter them as CSR matrices when fewer than ``RK4_SPARSE_BELOW`` of their
     entries are nonzero (the truncated sectors from N = 6 on) and as dense
     arrays otherwise.  A step works in four preallocated dim x dim buffers
-    and updates R in place.  Every real R encodes a Hermitian rho, so no step
+    and updates R in place.  From dim ``RK4_THREADS_FROM_DIM`` on (N = 7 and
+    up), in a process allowed on more than one CPU, the CSR products run on
+    two threads (``_threaded_real_rhs``): the calling one and a worker that
+    lives for this call only.  dR/dt, and so every record, is bit for bit the
+    serial result; a right-hand side at N = 8 (dim 800) takes 24-26 ms instead
+    of 43-46 ms on two cores.  Every real R encodes a Hermitian rho, so no step
     can leave the Hermitian matrices, and the records take the decoded rho as
     exactly Hermitian (``max_hermiticity_error`` is 0.0).  A rho0 whose
     Hermiticity error exceeds 1e-10 is refused with ValueError (see
@@ -495,7 +583,9 @@ def rk4_evolve(
         raise ValueError("stride must be >= 1")
     n_steps = _step_count(t_max, dt)
     r0 = _real_state_of(rho0)
-    rhs = _real_rhs(*_real_operands(h, lop))
+    operands = _real_operands(h, lop)
+    threaded = (scipy.sparse.issparse(operands[0]) and h.shape[0] >= RK4_THREADS_FROM_DIM
+                and _usable_cpus() > 1)
     acc, slope, stage = (np.empty(h.shape) for _ in range(3))
     rho = np.empty(h.shape, dtype=complex)
 
@@ -519,11 +609,15 @@ def rk4_evolve(
             )
         return r
 
-    return _run_trajectory(
-        r0, step, lambda r: _density_of_real(r, rho),
-        np.arange(n_steps + 1) * dt,
-        pair_count=pair_count, electric_square=electric_square, stride=stride, hermitian=True,
-    )
+    # the worker thread lives for this call only
+    with ThreadPoolExecutor(max_workers=1) if threaded else contextlib.nullcontext() as pool:
+        rhs = (_threaded_real_rhs(*operands, pool, rho.view(float)) if threaded
+               else _real_rhs(*operands))
+        return _run_trajectory(
+            r0, step, lambda r: _density_of_real(r, rho),
+            np.arange(n_steps + 1) * dt,
+            pair_count=pair_count, electric_square=electric_square, stride=stride, hermitian=True,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,36 @@ def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--dt", ["evolve", "--n-sites", "2", "--dt", "inf", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "inf", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "nan",
+                     "-o", "OUT"]),
+        ("--dt", ["evolve", "--n-sites", "2", "--method", "exact", "--dt", "inf", "-o", "OUT"]),
+        ("--m", ["evolve", "--n-sites", "2", "--m", "nan", "-o", "OUT"]),
+        ("--a", ["evolve", "--n-sites", "2", "--a", "inf", "-o", "OUT"]),
+        ("--e", ["hamiltonian", "--n-sites", "2", "--e=-inf", "-o", "OUT"]),
+        ("--beta", ["gibbs", "--n-sites", "2", "--beta", "nan", "-o", "OUT"]),
+        ("--coupling", ["evolve", "--n-sites", "2", "--coupling", "inf", "-o", "OUT"]),
+        ("--max-dev", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
+                       "--t-max", "1.0", "--dt", "0.01", "--max-dev", "nan", "--out-a", "OUT"]),
+        ("--tail-frac", ["sweep", "--sites", "2", "--tail-frac", "nan", "-o", "OUT"]),
+    ],
+    ids=["dt-inf", "horizon-inf", "dilation-horizon-nan", "exact-dt-inf", "mass-nan",
+         "spacing-inf", "gauge-coupling-minus-inf", "beta-nan", "bath-coupling-inf", "max-dev-nan",
+         "tail-frac-nan"],
+)
+def test_non_finite_float_options_are_usage_errors(flag, argv, tmp_path, capsys):
+    """inf and nan are refused by the parser: exit 2, the flag named, nothing written."""
+    with pytest.raises(SystemExit) as err:
+        run_cli([str(tmp_path / "out") if a == "OUT" else a for a in argv])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_dilation_dumps_unitaries(tmp_path):
     out = tmp_path / "dil.csv"
     prefix = tmp_path / "gates"

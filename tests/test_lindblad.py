@@ -1,6 +1,9 @@
 """Dissipative evolution: generator structure, integrators, thermal references."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -454,6 +457,104 @@ def test_rk4_step_allocates_a_fixed_working_set():
     assert peaks[1] <= 14 * array_bytes
 
 
+def test_csr_product_is_the_scipy_product_bit_for_bit():
+    _, _, ops, _, lop = standard_setup(6)
+    stacked, lop_csr, half_lop_t = lindblad._real_operands(ops.hamiltonian.matrix, lop)
+    x = np.random.default_rng(5).normal(size=(ops.dim, ops.dim))
+    out = np.full((2 * ops.dim, ops.dim), np.nan)
+    for a in (stacked, lop_csr, half_lop_t):
+        assert np.array_equal(lindblad._csr_product(a, x, out[:a.shape[0]]), a @ x)
+
+
+@pytest.fixture(scope="module")
+def n7_setup():
+    return standard_setup(7)
+
+
+def _rk4_threads(monkeypatch, threaded):
+    """Force ``rk4_evolve`` onto the two-thread right-hand side or off it, and
+    count the calls that build it."""
+    built = []
+    make = lindblad._threaded_real_rhs
+    monkeypatch.setattr(lindblad, "_threaded_real_rhs", lambda *a: built.append(1) or make(*a))
+    monkeypatch.setattr(lindblad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lindblad, "RK4_THREADS_FROM_DIM", 200 if threaded else 10**9)
+    return built
+
+
+def test_two_thread_rhs_gives_the_serial_record_bit_for_bit(n7_setup, monkeypatch):
+    # N = 7 (dim 284) is above the cut; the record must not depend on it
+    _, _, ops, _, lop = n7_setup
+    rho0 = random_density(np.random.default_rng(7), ops.dim)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=4)
+    records = []
+    for threaded in (False, True):
+        built = _rk4_threads(monkeypatch, threaded)
+        records.append(rk4_evolve(rho0, ops.hamiltonian, lop, 0.2, 0.01, **kw))
+        assert len(built) == threaded
+    serial, threaded = records
+    assert len(serial) == 6
+    for name in ("times", "n_pairs", "e2", "trace", "purity", "min_eig"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+    assert serial.max_hermiticity_error == threaded.max_hermiticity_error == 0.0
+
+
+def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
+    # the chains share buffers and are ordered only by their joins; with the
+    # interpreter switching threads every microsecond and a third thread
+    # competing for the lock, every call must still give the serial dR/dt
+    _, _, ops, _, lop = n7_setup
+    operands = lindblad._real_operands(ops.hamiltonian.matrix, lop)
+    serial = lindblad._real_rhs(*operands)
+    rng = np.random.default_rng(11)
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            pass
+
+    spinner = threading.Thread(target=spin)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    spinner.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            spare = np.empty((ops.dim, 2 * ops.dim))
+            threaded = lindblad._threaded_real_rhs(*operands, pool, spare)
+            for _ in range(10):
+                r = rng.normal(size=(ops.dim, ops.dim))
+                assert np.array_equal(threaded(r, np.empty_like(r)), serial(r, np.empty_like(r)))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        spinner.join(timeout=10)
+    assert not spinner.is_alive()
+
+
+def test_two_thread_rhs_runs_only_from_the_cut_on_and_on_two_cpus(n2_setup, n7_setup, monkeypatch):
+    for setup, cpus, expected in ((n2_setup, 2, 0), (n7_setup, 1, 0), (n7_setup, 2, 1)):
+        _, _, ops, _, lop = setup
+        built = _rk4_threads(monkeypatch, True)
+        monkeypatch.setattr(lindblad, "_usable_cpus", lambda: cpus)
+        rk4_evolve(DensityMatrix.pure_state(ops.dim, 0), ops.hamiltonian, lop, 0.01, 0.01,
+                   pair_count=ops.pair_count, electric_square=ops.electric_square)
+        assert len(built) == expected
+
+
+def test_no_worker_thread_outlives_an_rk4_call(n7_setup, monkeypatch):
+    _, _, ops, _, lop = n7_setup
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    built = _rk4_threads(monkeypatch, True)
+    before = threading.active_count()
+    rk4_evolve(rho0, ops.hamiltonian, lop, 0.05, 0.01, **kw)
+    assert threading.active_count() == before
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="aborted"):
+        rk4_evolve(rho0, ops.hamiltonian, lop, t_max=50.0, dt=5.0, **kw)
+    assert threading.active_count() == before
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("engine", ["rk4", "exact", "dilation"])
 def test_every_engine_rejects_a_non_diagonal_observable(n2_setup, engine):
     _, _, ops, _, lop = n2_setup
@@ -498,6 +599,19 @@ def test_rk4_rejects_misaligned_grids(n2_setup):
         rk4_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, dt=-0.01, **kw)
     with pytest.raises(ValueError, match="stride"):
         rk4_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, dt=0.01, stride=0, **kw)
+
+
+@pytest.mark.parametrize("t_max, dt", [(1.0, np.inf), (np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan)])
+def test_rk4_rejects_non_finite_grids(n2_setup, t_max, dt):
+    # dt = inf used to pass the whole-step check (it compares against NaN) and
+    # return one row at time NaN
+    _, _, ops, _, lop = n2_setup
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    with pytest.raises(ValueError, match="finite"):
+        lindblad._step_count(t_max, dt)
+    with pytest.raises(ValueError, match="finite"):
+        rk4_evolve(rho0, ops.hamiltonian, lop, t_max=t_max, dt=dt,
+                   pair_count=ops.pair_count, electric_square=ops.electric_square)
 
 
 def test_rk4_aborts_when_the_step_size_is_unstable(n2_setup):
