@@ -124,8 +124,8 @@ def _check_run_args(args, methods: set) -> None:
             raise _UsageError(f"--dt must be > 0, got {args.dt}")
         try:
             _step_count(args.t_max, args.dt)
-        except ValueError:
-            raise _UsageError(f"--t-max {args.t_max} is not a whole number of --dt {args.dt} steps") from None
+        except ValueError as exc:
+            raise _UsageError(f"--t-max {args.t_max} and --dt {args.dt}: {exc}") from None
 
 
 def _bath_from(args) -> BathParams:
@@ -265,7 +265,7 @@ def cmd_hamiltonian(args) -> int:
     _, _, ops = _operators_from(args, dynamics=False)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(ops.hamiltonian.to_json())
+    out.write_text(matrix_to_json(ops.hamiltonian.matrix, ops.hamiltonian.basis_tag))
     print(f"wrote {out} (dim {ops.hamiltonian.dim}, basis {ops.hamiltonian.basis_tag})")
     if args.observables:
         stem = out.with_suffix("")
@@ -275,7 +275,7 @@ def cmd_hamiltonian(args) -> int:
             ("condensate", ops.condensate),
         ):
             path = Path(f"{stem}_{name}.json")
-            path.write_text(op.to_json())
+            path.write_text(matrix_to_json(op.matrix, op.basis_tag))
             print(f"wrote {path}")
     return 0
 
@@ -320,6 +320,8 @@ def cmd_gibbs(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_run_args(args, {args.method_a, args.method_b})
+    if args.max_dev is not None and args.max_dev < 0:
+        raise _UsageError(f"--max-dev must be >= 0, got {args.max_dev}")
     _, _, ops, lop = _build_setup(args)
     # both runs and the grid check first, so a failure leaves no output behind
     rec_a = _run_method(args, args.method_a, ops, lop)
@@ -354,6 +356,8 @@ def cmd_sweep(args) -> int:
     sites = args.sites
     if min(sites) < 1:
         raise _UsageError(f"--sites must all be >= 1, got {min(sites)}")
+    if any(b <= a for a, b in zip(sites, sites[1:])):
+        raise _UsageError(f"--sites must be strictly increasing, got {sites}")
     tail_frac = args.tail_frac
     if not 0.0 < tail_frac < 1.0:
         raise _UsageError(f"--tail-frac must be in (0, 1), got {tail_frac}")

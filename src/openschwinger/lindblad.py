@@ -379,10 +379,13 @@ def _run_trajectory(
 
 def _step_count(t_max: float, dt: float) -> int:
     """The number of ``dt`` steps in ``t_max``; ValueError unless both are
-    finite and the count is whole (to 1e-9)."""
+    finite, the count is whole (to 1e-9) and a time grid can index it."""
     if not (np.isfinite(t_max) and np.isfinite(dt)):
         raise ValueError(f"t_max and dt must be finite, got {t_max} and {dt}")
-    n_steps = int(round(t_max / dt))
+    ratio = float(t_max) / float(dt)
+    if not ratio < np.iinfo(np.intp).max:
+        raise ValueError(f"t_max / dt = {ratio:.6g} is not a finite step count a time grid can index")
+    n_steps = int(round(ratio))
     if abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"t_max {t_max} is not a whole number of steps of dt {dt}")
     return n_steps

@@ -48,9 +48,6 @@ __all__ = [
     "ModelParams",
     "HermitianOperator",
     "build_hamiltonian",
-    "build_pair_count",
-    "build_electric_square",
-    "build_condensate",
     "project_operator",
     "SectorOperators",
     "build_sector_operators",
@@ -112,14 +109,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def to_json(self) -> str:
-        return matrix_to_json(self.matrix, self.basis_tag)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HermitianOperator":
-        matrix, basis_tag = matrix_from_json(text)
-        return cls(matrix=matrix, basis_tag=basis_tag)
 
 
 def _basis_tag(spec: LatticeSpec, projected: bool) -> str:
@@ -212,27 +201,6 @@ def build_hamiltonian(
             if j is not None:
                 h[j, i] += hop
     return HermitianOperator(matrix=h, basis_tag=_basis_tag(spec, projected=False))
-
-
-def build_pair_count(
-    spec: LatticeSpec, configs: list[GaugeFermionConfig]
-) -> HermitianOperator:
-    """Electron-positron pair number, diagonal (test oracle)."""
-    return _pair_count(configs, _basis_tag(spec, projected=False))
-
-
-def build_electric_square(
-    spec: LatticeSpec, configs: list[GaugeFermionConfig], params: ModelParams
-) -> HermitianOperator:
-    """Mean squared electric field, diagonal (test oracle)."""
-    return _electric_square(spec, configs, params, _basis_tag(spec, projected=False))
-
-
-def build_condensate(
-    spec: LatticeSpec, configs: list[GaugeFermionConfig], params: ModelParams
-) -> HermitianOperator:
-    """Staggered scalar density, diagonal (test oracle)."""
-    return _condensate(spec, configs, params, _basis_tag(spec, projected=False))
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_unknown_arguments_exit_with_usage_error():
 def test_hamiltonian_dump(tmp_path, capsys):
     out = tmp_path / "h.json"
     assert run_cli(["hamiltonian", "--n-sites", "2", "-o", str(out)]) == 0
-    op = HermitianOperator.from_json(out.read_text())
+    op = HermitianOperator(*matrix_from_json(out.read_text()))
     assert op.dim == 5
     assert op.matrix[0, 1] == pytest.approx(1.0, abs=1e-14)
     assert "k0-parity-even" in op.basis_tag
@@ -82,8 +82,8 @@ def test_hamiltonian_observables_flag(tmp_path):
     out = tmp_path / "h.json"
     assert run_cli(["hamiltonian", "--n-sites", "2", "--truncate",
                     "--observables", "-o", str(out)]) == 0
-    pairs = HermitianOperator.from_json((tmp_path / "h_pairs.json").read_text())
-    electric = HermitianOperator.from_json((tmp_path / "h_electric.json").read_text())
+    pairs = HermitianOperator(*matrix_from_json((tmp_path / "h_pairs.json").read_text()))
+    electric = HermitianOperator(*matrix_from_json((tmp_path / "h_electric.json").read_text()))
     assert np.array_equal(np.diag(pairs.matrix), [0, 1, 2, 1])
     assert np.array_equal(4 * np.diag(electric.matrix), [0, 1, 2, 3])
     assert (tmp_path / "h_condensate.json").exists()
@@ -137,10 +137,21 @@ def test_evolve_exact_method(tmp_path):
         ("--sites", ["sweep", "--sites", "0", "-o", "OUT"]),
         ("--a", ["evolve", "--n-sites", "2", "--a", "0", "-o", "OUT"]),
         ("--a", ["hamiltonian", "--n-sites", "2", "--a", "0", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "1e308", "--dt", "1e-300", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--method", "exact", "--t-max", "1e308",
+                     "--dt", "1e-300", "-o", "OUT"]),
+        ("--t-max", ["sweep", "--sites", "2", "--t-max", "1e308", "--dt", "1e-300", "-o", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "1", "--dt", "1e-300", "-o", "OUT"]),
+        ("--sites", ["sweep", "--sites", "2,2", "--t-max", "0.1", "-o", "OUT"]),
+        ("--sites", ["sweep", "--sites", "4,2", "--t-max", "0.1", "-o", "OUT"]),
+        ("--max-dev", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
+                       "--t-max", "0.1", "--dt", "0.01", "--max-dev", "-1", "--out-a", "OUT"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
          "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
-         "hamiltonian-zero-spacing"],
+         "hamiltonian-zero-spacing", "overflowing-step-count", "exact-overflowing-step-count",
+         "sweep-overflowing-step-count", "unindexable-step-count", "repeated-sites",
+         "descending-sites", "negative-max-dev"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""

@@ -601,7 +601,8 @@ def test_rk4_rejects_misaligned_grids(n2_setup):
         rk4_evolve(rho0, ops.hamiltonian, lop, t_max=1.0, dt=0.01, stride=0, **kw)
 
 
-@pytest.mark.parametrize("t_max, dt", [(1.0, np.inf), (np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan)])
+@pytest.mark.parametrize("t_max, dt", [(1.0, np.inf), (np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan),
+                                      (1e308, 1e-300)])
 def test_rk4_rejects_non_finite_grids(n2_setup, t_max, dt):
     # dt = inf used to pass the whole-step check (it compares against NaN) and
     # return one row at time NaN

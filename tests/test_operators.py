@@ -21,10 +21,11 @@ from openschwinger import (
     project_operator,
 )
 from openschwinger.operators import (
-    build_condensate,
-    build_electric_square,
+    _basis_tag,
+    _condensate,
+    _electric_square,
+    _pair_count,
     build_hamiltonian,
-    build_pair_count,
 )
 
 
@@ -161,10 +162,11 @@ def test_direct_sector_observables_equal_projected_ones(n_sites):
     params = ModelParams()
     ops = build_sector_operators(sector, params)
     configs = list(sector.configs)
+    tag = _basis_tag(spec, projected=False)
     for direct, full in (
-        (ops.pair_count, build_pair_count(spec, configs)),
-        (ops.electric_square, build_electric_square(spec, configs, params)),
-        (ops.condensate, build_condensate(spec, configs, params)),
+        (ops.pair_count, _pair_count(configs, tag)),
+        (ops.electric_square, _electric_square(spec, configs, params, tag)),
+        (ops.condensate, _condensate(spec, configs, params, tag)),
     ):
         projected = project_operator(full, sector)
         assert np.allclose(direct.matrix, projected.matrix, atol=1e-13)
@@ -200,8 +202,8 @@ def test_model_params_reject_nonpositive_lattice_spacing():
 
 def test_operator_json_round_trip_is_exact():
     ops = build_sector_operators(build_symmetry_sector(LatticeSpec(n_sites=2)), ModelParams())
-    dumped = ops.hamiltonian.to_json()
-    back = HermitianOperator.from_json(dumped)
+    dumped = matrix_to_json(ops.hamiltonian.matrix, ops.hamiltonian.basis_tag)
+    back = HermitianOperator(*matrix_from_json(dumped))
     assert np.array_equal(back.matrix, ops.hamiltonian.matrix)
     assert back.basis_tag == ops.hamiltonian.basis_tag
 
