@@ -42,6 +42,11 @@ from .dilation import build_dilation_hamiltonian, dilation_evolve, unitary_from_
 
 ENUMERATION_LIMIT = 6  # brute force is cheap up to here and a no-go well beyond
 
+# Largest record a run may hold, checked before setup at 640 B per row (20000
+# rows at N = 2 peaked at 320 B a row in rk4 and dilation runs, 610 B in
+# ``exact_evolve`` with its time grid, 460 B in ``to_csv``): 3.3 M rows
+RECORD_MAX_BYTES = 2 * 2**30
+
 
 class NumericalCheckError(RuntimeError):
     """A cross-check or invariant failed at run time (exit code 1)."""
@@ -119,13 +124,24 @@ def _check_run_args(args, methods: set) -> None:
         raise _UsageError(f"--n-cycles must be >= 1, got {args.n_cycles}")
     if "rk4" in methods and args.stride < 1:
         raise _UsageError(f"--stride must be >= 1, got {args.stride}")
+    rows = 0  # recorded rows of the records a command holds at once
     if methods & {"rk4", "exact"}:
         if args.dt <= 0:
             raise _UsageError(f"--dt must be > 0, got {args.dt}")
         try:
-            _step_count(args.t_max, args.dt)
+            n_steps = _step_count(args.t_max, args.dt)
         except ValueError as exc:
             raise _UsageError(f"--t-max {args.t_max} and --dt {args.dt}: {exc}") from None
+        if "rk4" in methods:
+            rows += -(-n_steps // args.stride) + 1  # every stride-th step and the last
+        if "exact" in methods:
+            rows += n_steps + 1
+    if "dilation" in methods:
+        rows += args.n_cycles + 1
+    if (nbytes := 640 * rows) > RECORD_MAX_BYTES:
+        raise _UsageError(f"{rows} recorded rows could take {nbytes / 2**30:.3g} GiB "
+                          f"(> {RECORD_MAX_BYTES / 2**30:g} GiB): lower --t-max or --n-cycles, "
+                          "or raise --dt or --stride")
 
 
 def _bath_from(args) -> BathParams:

@@ -23,8 +23,8 @@ recorded observables must be diagonal in the sector basis:
                       and no Hermitian projection
 * ``exact_evolve``    action of the exponential of the vectorized generator,
                       a sparse dim^2 x dim^2 matrix, on vec(R0): the
-                      truncated sectors up to N = 6 (``steady_state`` up to
-                      N = 5)
+                      truncated sectors up to N = 6 (``steady_state``, power
+                      iteration on one sparse LU of it, up to N = 5)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
 
 RK4 and the exact engine (with ``exact_propagate`` and ``steady_state``) need
@@ -48,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.sparse.linalg (expm_multiply, splu, eigs) is left to SciPy's lazy
+# scipy.sparse.linalg (expm_multiply, splu) is left to SciPy's lazy
 # submodule loading: only the exact engines use it, and importing it raises
 # the peak RSS of a process that imports this package from 49 to 59 MB
 import scipy.sparse
@@ -105,6 +105,9 @@ LIOUVILLIAN_MAX_BYTES = 64 * 2**20
 # nonzeros of fill; at N = 6 (order 11881) it took 66 s with 71 M nonzeros
 # and a 1.6 GB peak RSS, so 4096 (dim <= 64) stops at N = 5.
 STEADY_STATE_MAX_ORDER = 4096
+
+# ``steady_state`` gives up after this many solves (5-11 at N = 2-5, D = 0.01-10, beta = 0.01-1)
+_STEADY_STATE_SOLVES = 32
 
 # ``exact_evolve`` holds at most this many bytes of grid states per
 # ``expm_multiply`` call (one call for 201 points up to N = 6)
@@ -328,23 +331,22 @@ def _diagonal_of(op, name: str) -> np.ndarray:
 
 
 def _run_trajectory(
-    state, step, density, times, *, pair_count, electric_square, stride=1, tolerances=None,
-    hermitian=False,
+    state, step, density, n_steps, time_of, *, pair_count, electric_square, stride=1,
+    tolerances=None, hermitian=False,
 ) -> EvolutionRecord:
     """The one record loop behind every engine.
 
-    ``step(state, k)`` advances the engine state to ``times[k]`` and
+    ``step(state, k)`` advances the engine state to step k <= ``n_steps`` and
     ``density(state)`` returns its density matrix.  Step 0 (the initial state),
-    every ``stride``-th step and the last step are recorded from a single
-    diagnostics pass.  With ``tolerances`` (``validate`` keyword arguments)
-    every recorded row after the initial one is checked against them.  An
-    engine whose ``density`` is Hermitian bit for bit passes ``hermitian``:
-    its rows skip the Hermiticity error (0.0) and take the minimum eigenvalue
-    of the density matrix as it is.
+    every ``stride``-th step and the last step are recorded, at ``time_of(k)``,
+    from a single diagnostics pass.  With ``tolerances`` (``validate`` keyword
+    arguments) every recorded row after the initial one is checked against
+    them.  An engine whose ``density`` is Hermitian bit for bit passes
+    ``hermitian``: its rows skip the Hermiticity error (0.0) and take the
+    minimum eigenvalue of the density matrix as it is.
     """
     pairs_diag = _diagonal_of(pair_count, "pair_count")
     e2_diag = _diagonal_of(electric_square, "electric_square")
-    n_steps = len(times) - 1
     rows = []
     max_herm = 0.0
     for k in range(n_steps + 1):
@@ -363,7 +365,7 @@ def _run_trajectory(
             _check_invariants(tr, herm, min_eig, **tolerances)
         max_herm = max(max_herm, herm)
         rows.append((
-            times[k],
+            time_of(k),
             float(np.real(np.sum(pairs_diag * np.diagonal(rho)))),
             float(np.real(np.sum(e2_diag * np.diagonal(rho)))),
             tr,
@@ -617,8 +619,7 @@ def rk4_evolve(
         rhs = (_threaded_real_rhs(*operands, pool, rho.view(float)) if threaded
                else _real_rhs(*operands))
         return _run_trajectory(
-            r0, step, lambda r: _density_of_real(r, rho),
-            np.arange(n_steps + 1) * dt,
+            r0, step, lambda r: _density_of_real(r, rho), n_steps, lambda k: k * dt,
             pair_count=pair_count, electric_square=electric_square, stride=stride, hermitian=True,
         )
 
@@ -695,60 +696,31 @@ def exact_evolve(
     rho = np.empty(r0.shape, dtype=complex)
     return _run_trajectory(
         r0.ravel(), lambda vec, k: next(flow),
-        lambda vec: _density_of_real(vec.reshape(r0.shape), rho), times,
+        lambda vec: _density_of_real(vec.reshape(r0.shape), rho), len(steps), times.__getitem__,
         pair_count=pair_count, electric_square=electric_square, hermitian=True,
     )
 
 
-def _kernels(lv) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of the right and left kernels of the sparse generator ``lv``, as
-    columns (complex Ritz vectors spanning the real kernels).
-
-    Shift-invert Arnoldi (ARPACK) on one sparse LU factorization of
-    mu I - Lv, mu = 1e-6 ||Lv||_inf: the solve has the eigenvalues
-    theta = 1/(mu - lambda), largest for the eigenvalues lambda of Lv nearest
-    0, and its transposed solve those of Lv^T.  A Ritz value is kernel when
-    |lambda| <= 1e-10 ||Lv||_inf; the number of Ritz pairs starts at 4 and
-    doubles while every one is kernel.  ``v0`` is fixed, so the result is
-    repeatable.
-    """
-    n = lv.shape[0]
-    scale = float(np.max(abs(lv).sum(axis=1)))
-    shift = 1e-6 * scale
-    lu = scipy.sparse.linalg.splu((shift * scipy.sparse.eye_array(n) - lv).tocsc())
-
-    def kernel(trans):
-        solve = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=lambda x: lu.solve(x, trans=trans), dtype=float,
-        )
-        k = min(4, n - 2)
-        while True:
-            theta, vecs = scipy.sparse.linalg.eigs(solve, k=k, v0=np.ones(n))
-            is_kernel = np.abs(shift - 1.0 / theta) <= 1e-10 * scale
-            if not is_kernel.all() or k == n - 2:
-                return vecs[:, is_kernel]
-            k = min(2 * k, n - 2)
-
-    return kernel("N"), kernel("T")
-
-
 def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
-    """The time-averaged long-time limit of the flow from the maximally mixed
-    state 1/dim (the limit itself when no eigenvalue of Lv is purely
-    imaginary).
+    """The time-averaged long-time limit of the flow from 1/dim (the limit
+    itself when no eigenvalue of Lv is purely imaginary).
 
-    The kernel of the generator can be degenerate (dimension 3 at N = 4 and 2
-    at N = 5 in the truncated sector, which splits into blocks that H and L
-    never connect), so "the" null vector is not unique and an arbitrary one
-    need not be a density matrix.  The time average of exp(Lv t) vec(R0) is
-    the spectral projection of R0 onto the kernel, K (Lk^T K)^-1 Lk^T
-    vec(R0), with K and Lk the right and left kernels of the real Lv, both
-    from shift-invert Arnoldi on one sparse LU factorization (see
-    ``_kernels``).  A sector with dim^2 above ``STEADY_STATE_MAX_ORDER`` is
-    refused with ValueError before Lv is built.  The flow is positivity
-    preserving, and so is its time average, so the result from 1/dim, which
-    has weight in every block, is positive semi-definite.  Returned with
-    trace one, decoded from R and so Hermitian bit for bit.
+    The kernel of Lv can be degenerate (dimension 3 at N = 4, 2 at N = 5), so
+    an arbitrary null vector need not be a density matrix.  The time average
+    of exp(Lv t) vec(R0) is the spectral projection of R0 onto the kernel,
+    found by power iteration of mu (mu I - Lv)^-1, mu = 1e-6 ||Lv||_inf, on one
+    sparse LU factorization, from vec(1/dim) with the trace reset to one after
+    each solve.  A solve fixes the kernel and shrinks the component of every
+    other eigenvalue lambda, purely imaginary ones included, by
+    mu / |mu - lambda| <= mu / |lambda|: about 2e-4 at N = 4 and 5 (smallest
+    nonzero |lambda| 0.11 and 0.09, ||Lv||_inf 19 and 24).  It stops at the
+    first solve that changes the iterate no less than the one before, at the
+    rounding floor near 1e-13: 5 solves at N = 4, 7 at N = 5.  One still
+    improving after ``_STEADY_STATE_SOLVES`` solves (contraction about 1/2 or
+    slower) raises RuntimeError; dim^2 above ``STEADY_STATE_MAX_ORDER`` raises
+    ValueError before Lv is built.  The average of the positive flow from
+    1/dim, which has weight in every block, is positive semi-definite; it is
+    returned with trace one, decoded from R and so Hermitian bit for bit.
     """
     dim = _matrix_of(hamiltonian).shape[0]
     if dim**2 > STEADY_STATE_MAX_ORDER:
@@ -756,13 +728,22 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
             f"steady state for dim {dim} needs the LU factors of an order-{dim**2} "
             f"generator (> {STEADY_STATE_MAX_ORDER}); run rk4_evolve to late times instead"
         )
-    right, left = _kernels(vectorized_liouvillian(hamiltonian, lindblad_op))
-    mixed = np.eye(dim).ravel() / dim
-    r = (right @ np.linalg.solve(left.T @ right, left.T @ mixed)).real.reshape(dim, dim)
-    tr = np.trace(r)
-    if abs(tr) < 1e-12:
-        raise RuntimeError("steady-state candidate has (near-)zero trace")
-    return DensityMatrix(_density_of_real(r / tr, np.empty((dim, dim), dtype=complex)))
+    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
+    shift = 1e-6 * float(np.max(abs(lv).sum(axis=1)))
+    lu = scipy.sparse.linalg.splu((shift * scipy.sparse.eye_array(dim**2) - lv).tocsc())
+    diagonal = np.arange(0, dim**2, dim + 1)  # the positions of tr R in vec(R)
+    vec = np.eye(dim).ravel() / dim
+    change = np.inf
+    for _ in range(_STEADY_STATE_SOLVES):
+        nxt = lu.solve(vec)
+        nxt /= np.sum(nxt[diagonal])
+        last, change = change, float(np.max(np.abs(nxt - vec)))
+        vec = nxt
+        if change >= last:
+            rho = np.empty((dim, dim), dtype=complex)
+            return DensityMatrix(_density_of_real(vec.reshape(dim, dim), rho))
+    raise RuntimeError(f"steady state not converged after {_STEADY_STATE_SOLVES} solves "
+                       f"(last change {change:.3e}): Lv has an eigenvalue too close to 0")
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,16 @@ def test_evolve_exact_method(tmp_path):
         ("--sites", ["sweep", "--sites", "4,2", "--t-max", "0.1", "-o", "OUT"]),
         ("--max-dev", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
                        "--t-max", "0.1", "--dt", "0.01", "--max-dev", "-1", "--out-a", "OUT"]),
+        ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "1e17", "--dt", "1", "-o", "OUT"]),
+        ("--n-cycles", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "1",
+                        "--n-cycles", "100000000000000000", "-o", "OUT"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
          "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
          "hamiltonian-zero-spacing", "overflowing-step-count", "exact-overflowing-step-count",
          "sweep-overflowing-step-count", "unindexable-step-count", "repeated-sites",
-         "descending-sites", "negative-max-dev"],
+         "descending-sites", "negative-max-dev", "unrecordable-step-count",
+         "unrecordable-cycle-count"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""

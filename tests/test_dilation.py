@@ -67,6 +67,17 @@ def test_cycle_propagator_composes_the_two_gates(n2):
     assert np.array_equal(cycle_propagator(ops.hamiltonian, lop, dt), expected)
 
 
+@pytest.mark.parametrize("n_sites", [2, 4, 6])
+def test_kraus_form_cycle_equals_the_traced_dilated_state(n_sites):
+    # test-only oracle: the full 2d x 2d state W rho W+ and its partial trace
+    _, _, ops, _, lop = standard_setup(n_sites)
+    d = ops.dim
+    w = cycle_propagator(ops.hamiltonian, lop, 0.05)
+    rho = random_density(np.random.default_rng(n_sites), d)
+    m = w @ rho @ w.conj().T
+    assert np.max(np.abs(dilation_cycle(rho, w).matrix - (m[:d, :d] + m[d:, d:]))) <= 1e-14
+
+
 def test_cycle_propagator_rejects_nonpositive_step(n2):
     _, _, ops, _, lop = n2
     with pytest.raises(ValueError):

@@ -243,11 +243,65 @@ def test_steady_state_is_refused_at_six_sites_before_any_work():
     assert peak < 2**20
 
 
+def arpack_kernels(lv):
+    """Test-only oracle: bases of the right and left kernels of the sparse
+    generator ``lv``, as columns (complex Ritz vectors spanning the real
+    kernels).
+
+    Shift-invert Arnoldi (ARPACK) on one sparse LU factorization of
+    mu I - Lv, mu = 1e-6 ||Lv||_inf: the solve has the eigenvalues
+    theta = 1/(mu - lambda), largest for the eigenvalues lambda of Lv nearest
+    0, and its transposed solve those of Lv^T.  A Ritz value is kernel when
+    |lambda| <= 1e-10 ||Lv||_inf; the number of Ritz pairs starts at 4 and
+    doubles while every one is kernel.  ``v0`` is fixed, so the result is
+    repeatable.
+    """
+    n = lv.shape[0]
+    scale = float(np.max(abs(lv).sum(axis=1)))
+    shift = 1e-6 * scale
+    lu = scipy.sparse.linalg.splu((shift * scipy.sparse.eye_array(n) - lv).tocsc())
+
+    def kernel(trans):
+        solve = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda x: lu.solve(x, trans=trans), dtype=float,
+        )
+        k = min(4, n - 2)
+        while True:
+            theta, vecs = scipy.sparse.linalg.eigs(solve, k=k, v0=np.ones(n))
+            is_kernel = np.abs(shift - 1.0 / theta) <= 1e-10 * scale
+            if not is_kernel.all() or k == n - 2:
+                return vecs[:, is_kernel]
+            k = min(2 * k, n - 2)
+
+    return kernel("N"), kernel("T")
+
+
 @pytest.mark.parametrize("n_sites, kernel_dim", [(2, 1), (3, 1), (4, 3), (5, 2)])
 def test_generator_kernel_dimensions(n_sites, kernel_dim):
     _, _, ops, _, lop = standard_setup(n_sites)
-    right, left = lindblad._kernels(vectorized_liouvillian(ops.hamiltonian, lop))
+    right, left = arpack_kernels(vectorized_liouvillian(ops.hamiltonian, lop))
     assert right.shape[1] == left.shape[1] == kernel_dim
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 5])
+def test_steady_state_is_the_kernel_projection_of_the_mixed_state(n_sites):
+    # K (Lk^T K)^-1 Lk^T vec(1/dim) from the ARPACK kernels; N = 4 and 5 have
+    # degenerate kernels, where an arbitrary null vector would not do
+    _, _, ops, _, lop = standard_setup(n_sites)
+    dim = ops.dim
+    right, left = arpack_kernels(vectorized_liouvillian(ops.hamiltonian, lop))
+    mixed = np.eye(dim).ravel() / dim
+    r = (right @ np.linalg.solve(left.T @ right, left.T @ mixed)).real.reshape(dim, dim)
+    r /= np.trace(r)
+    expected = 0.5 * (r + r.T) + 0.5j * (r - r.T)
+    assert np.max(np.abs(steady_state(ops.hamiltonian, lop).matrix - expected)) <= 1e-10
+
+
+def test_steady_state_that_does_not_converge_is_a_runtime_error(n2_setup, monkeypatch):
+    _, _, ops, _, lop = n2_setup
+    monkeypatch.setattr(lindblad, "_STEADY_STATE_SOLVES", 2)
+    with pytest.raises(RuntimeError, match="not converged after 2 solves"):
+        steady_state(ops.hamiltonian, lop)
 
 
 # ---------------------------------------------------------------------------
