@@ -47,6 +47,12 @@ ENUMERATION_LIMIT = 6  # brute force is cheap up to here and a no-go well beyond
 # ``exact_evolve`` with its time grid, 460 B in ``to_csv``): 3.3 M rows
 RECORD_MAX_BYTES = 2 * 2**30
 
+# Largest dense setup a command may build, checked once the sector is known at
+# ten dim x dim float64 arrays: H, the three observables, L and the Gibbs
+# eigendecomposition peaked 9.1-9.3 such arrays above the sector at N = 8 and
+# 9.  N <= 10 (3.2 GiB) passes and N = 11 (28 GiB) is refused.
+SETUP_MAX_BYTES = 4 * 2**30
+
 
 class NumericalCheckError(RuntimeError):
     """A cross-check or invariant failed at run time (exit code 1)."""
@@ -108,8 +114,19 @@ def _operators_from(args, *, dynamics: bool):
         params = ModelParams(a=args.a, e=args.e, m=args.m)
     except ValueError as exc:
         raise _UsageError(f"--a: {exc}") from exc
-    sector = build_symmetry_sector(spec)
+    sector = _sector_of(spec, "--n-sites")
+    if (nbytes := 80 * sector.dim**2) > SETUP_MAX_BYTES:
+        raise _UsageError(f"--n-sites: the operators of the dim {sector.dim} sector of N = {n} could "
+                          f"take {nbytes / 2**30:.3g} GiB (> {SETUP_MAX_BYTES / 2**30:g} GiB)")
     return spec, params, build_sector_operators(sector, params)
+
+
+def _sector_of(spec: LatticeSpec, flag: str):
+    """The sector of ``spec``; a lattice too large to enumerate is a usage error."""
+    try:
+        return build_symmetry_sector(spec)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 class _UsageError(ValueError):
@@ -210,11 +227,24 @@ def _config_dict(args, method, spec, bath) -> dict:
 
 
 def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict, elapsed: float) -> None:
+    """The CSV of ``record`` and its JSON sidecar: the run's config, the Gibbs
+    reference, the worst invariant values over all rows, the last row's
+    distance from the Gibbs reference and the engine's wall time."""
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(record.to_csv())
     sidecar = {
         "config": config,
         "gibbs_reference": gibbs,
+        "invariants": {
+            "max_trace_error": float(np.max(np.abs(record.trace - 1.0))),
+            "max_hermiticity_error": float(record.max_hermiticity_error),
+            "min_eig": float(np.min(record.min_eig)),
+        },
+        "thermal_gap": {
+            "t": float(record.times[-1]),
+            "e2": float(record.e2[-1] - gibbs["e2"]),
+            "n_pairs": float(record.n_pairs[-1] - gibbs["n_pairs"]),
+        },
         "wall_time_s": elapsed,
     }
     _sidecar_path(out).write_text(json.dumps(sidecar, indent=1))
@@ -264,8 +294,7 @@ def cmd_states(args) -> int:
             print("cross-check FAILED: enumeration disagrees with closed form", file=sys.stderr)
             ok = False
     if args.sector:
-        spec = LatticeSpec(n, truncate_total_flux=args.truncate)
-        sector = build_symmetry_sector(spec)
+        sector = _sector_of(LatticeSpec(n, truncate_total_flux=args.truncate), "N")
         label = "truncated sector" if args.truncate else "sector"
         print(f"N={n}: {label} dim {sector.dim} (from {sector.n_configs} configurations)")
         # the orbits must partition the configs: each index in exactly one

@@ -20,6 +20,7 @@ symmetry-reduces that constrained space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
@@ -33,10 +34,12 @@ __all__ = [
     "gauss_residuals",
     "count_physical_states",
     "enumerate_physical_configs",
+    "flux_codes",
     "translate_config",
     "reflect_config",
     "SymmetrySector",
     "build_symmetry_sector",
+    "SECTOR_MAX_BYTES",
 ]
 
 
@@ -154,6 +157,95 @@ def count_physical_states(n_sites: int) -> int:
 # enumeration
 # ---------------------------------------------------------------------------
 
+# Largest working set ``build_symmetry_sector`` may hold, checked against
+# ``_setup_bytes`` before anything is allocated.  At cutoff 1 that admits
+# N <= 11 (0.44 GiB) and refuses N = 12 (1.7 GiB) and N = 13 (6.9 GiB).
+SECTOR_MAX_BYTES = 2**30
+
+
+def flux_codes(fluxes, flux_cutoff: int) -> np.ndarray:
+    """The base-(2 cutoff + 1) number of each row of ``fluxes``, with digit
+    ``flux + cutoff`` and site 0 the most significant digit.
+
+    Gauss's law fixes the occupations by the fluxes, so a code names one
+    physical configuration, and codes order as the flux tuples do.
+    """
+    fluxes = np.asarray(fluxes, dtype=np.int64)
+    nf = fluxes.shape[-1]
+    return (fluxes + flux_cutoff) @ (2 * flux_cutoff + 1) ** np.arange(nf - 1, -1, -1)
+
+
+def _setup_bytes(spec: LatticeSpec) -> int:
+    """Bound on the bytes ``build_symmetry_sector`` holds at once.
+
+    The arrays of 2N int64 columns peak at three of the P = C(2N, N)
+    half-filled patterns (occupations, charge partial sums, their temporary),
+    at two of them and two of the K kept configurations (the gather), or at
+    four of the configurations (sorted and unsorted).  Each pattern holds a
+    few more int64 values (extremes, masks) and each configuration up to 16
+    (codes, sort keys, orbit maps).  K is the closed-form count at cutoff 1 and
+    is otherwise bounded by one candidate per pattern and seed.
+    """
+    nf, n, cutoff = spec.n_fermion, spec.n_sites, spec.flux_cutoff
+    patterns = comb(nf, n)
+    kept = count_physical_states(n) if cutoff == 1 else (2 * cutoff + 1) * patterns
+    rows = max(3 * patterns, 2 * (patterns + kept), 4 * kept)
+    return 8 * (nf * rows + 4 * patterns + 16 * kept) + 2**16  # and 64 KiB for the rest
+
+
+def _physical_arrays(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(occupations, fluxes) of every physical configuration, one int64 row
+    each, in canonical order (see ``enumerate_physical_configs``).
+
+    A lattice whose codes overflow int64, or whose arrays could take more than
+    ``SECTOR_MAX_BYTES``, is refused with ValueError before any allocation.
+    """
+    nf, cutoff = spec.n_fermion, spec.flux_cutoff
+    if (2 * cutoff + 1) ** nf > np.iinfo(np.int64).max:
+        raise ValueError(f"flux codes of N = {spec.n_sites} at cutoff {cutoff} overflow int64")
+    if (nbytes := _setup_bytes(spec)) > SECTOR_MAX_BYTES:
+        raise ValueError(
+            f"the configurations of N = {spec.n_sites} could take {nbytes / 2**30:.3g} GiB "
+            f"(> {SECTOR_MAX_BYTES / 2**30:g} GiB)"
+        )
+    # one row per half-filled pattern
+    n_patterns = comb(nf, spec.n_sites)
+    filled = np.fromiter(
+        chain.from_iterable(combinations(range(nf), spec.n_sites)), dtype=np.intp,
+        count=n_patterns * spec.n_sites,
+    ).reshape(n_patterns, spec.n_sites)
+    occ = np.zeros((n_patterns, nf), dtype=np.int64)
+    occ[np.arange(n_patterns)[:, None], filled] = 1
+    del filled
+    # partial sums of the staggered charge fix every flux relative to the seed
+    # on the last link (rel ends in 0 by neutrality): one candidate per seed
+    # |seed| <= cutoff, kept where every |flux| <= cutoff
+    rel = np.cumsum(np.arange(nf) % 2 - occ, axis=1)
+    seeds = np.arange(-cutoff, cutoff + 1)[:, None]
+    seed, row = np.nonzero(
+        (rel.max(axis=1) + seeds <= cutoff) & (rel.min(axis=1) + seeds >= -cutoff)
+    )
+    flux = rel[row] + seeds[seed]
+    occ = occ[row]
+    del rel
+    if spec.truncate_total_flux:
+        keep = np.abs(flux).sum(axis=1) < nf
+        occ, flux = occ[keep], flux[keep]
+    # GaugeFermionConfig.sort_key; lexsort takes the primary key last.  The
+    # occupation and flux tuples order as their base-2 and flux codes
+    order = np.lexsort((
+        flux_codes(flux, cutoff),
+        occ @ 2 ** np.arange(nf - 1, -1, -1),
+        occ[:, 0::2].sum(axis=1),
+        (flux * flux).sum(axis=1),
+    ))
+    return occ[order], flux[order]
+
+
+def _configs_of(occupations: np.ndarray, fluxes: np.ndarray) -> list[GaugeFermionConfig]:
+    return list(map(GaugeFermionConfig, map(tuple, occupations.tolist()), map(tuple, fluxes.tolist())))
+
+
 def enumerate_physical_configs(spec: LatticeSpec) -> list[GaugeFermionConfig]:
     """All physical configurations, in canonical order.
 
@@ -166,38 +258,7 @@ def enumerate_physical_configs(spec: LatticeSpec) -> list[GaugeFermionConfig]:
     Canonical order sorts by (sum of flux squares, pair count, occupations,
     fluxes); the first entry is always the bare vacuum.
     """
-    nf = spec.n_fermion
-    cutoff = spec.flux_cutoff
-    # one row per half-filled pattern
-    filled = np.fromiter(
-        chain.from_iterable(combinations(range(nf), spec.n_sites)), dtype=np.intp
-    ).reshape(-1, spec.n_sites)
-    occ = np.zeros((len(filled), nf), dtype=np.int64)
-    occ[np.arange(len(filled))[:, None], filled] = 1
-    # partial sums of the staggered charge fix every flux relative to the seed
-    # c on the last link (rel ends in 0 by neutrality): one candidate per
-    # seed |c| <= cutoff, kept where every |flux| <= cutoff
-    rel = np.cumsum(np.arange(nf) % 2 - occ, axis=1)
-    flux = np.arange(-cutoff, cutoff + 1)[:, None, None] + rel
-    size = np.abs(flux)
-    keep = size.max(axis=2) <= cutoff
-    if spec.truncate_total_flux:
-        keep &= size.sum(axis=2) < nf
-    occ, flux = occ[np.nonzero(keep)[1]], flux[keep]
-    # GaugeFermionConfig.sort_key; lexsort takes the primary key last.  The
-    # occupation and flux tuples order as their base-2 and base-(2 cutoff + 1)
-    # numbers with site 0 the most significant digit (exact in int64 for any
-    # lattice small enough to enumerate)
-    digits = np.arange(nf - 1, -1, -1)
-    order = np.lexsort((
-        (flux + cutoff) @ (2 * cutoff + 1) ** digits,
-        occ @ 2**digits,
-        occ[:, 0::2].sum(axis=1),
-        (flux * flux).sum(axis=1),
-    ))
-    return list(
-        map(GaugeFermionConfig, map(tuple, occ[order].tolist()), map(tuple, flux[order].tolist()))
-    )
+    return _configs_of(*_physical_arrays(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +282,28 @@ def reflect_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
     return GaugeFermionConfig(occ[:1] + occ[:0:-1], tuple(-l for l in reversed(flux)))
 
 
+def _orbit_keys(codes: np.ndarray, fluxes: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """The smallest code over the orbit of each configuration: over the N
+    translations of it and of its mirror image.
+
+    Both symmetries act on the codes directly, as ``translate_config`` and
+    ``reflect_config`` act on tuples.  Translation moves the last two digits
+    to the front; reflection reverses the digits and flips each one,
+    d -> 2 cutoff - d.  Each entry of ``images`` opens one coset of the
+    translations.
+    """
+    nf, cutoff = spec.n_fermion, spec.flux_cutoff
+    base = 2 * cutoff + 1
+    low, high = base**2, base ** (nf - 2)
+    images = (codes, (base**nf - 1) - (fluxes + cutoff) @ base ** np.arange(nf))
+    key = codes.copy()
+    for image in images:
+        for _ in range(spec.n_sites):
+            np.minimum(key, image, out=key)
+            image = image % low * high + image // low
+    return key
+
+
 # ---------------------------------------------------------------------------
 # zero-momentum, positive-parity sector
 # ---------------------------------------------------------------------------
@@ -231,8 +314,7 @@ class SymmetryOrbit(NamedTuple):
     ``members`` are the sorted indices into the canonical config list of the
     N translations of a config and of its mirror image; the basis state is the
     uniform superposition with amplitude ``1/sqrt(len(members))``.
-    ``representative`` is the smallest member, the config the orbit was built
-    from.
+    ``representative`` is the smallest member.
     """
 
     members: tuple[int, ...]
@@ -245,13 +327,23 @@ class SymmetryOrbit(NamedTuple):
         return 1.0 / np.sqrt(len(self.members))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetrySector:
-    """Zero-momentum, positive-parity subspace of a physical config space."""
+    """Zero-momentum, positive-parity subspace of a physical config space.
+
+    ``occupations`` and ``fluxes`` hold the physical configurations as rows,
+    in canonical order; ``configs`` makes the same list of
+    ``GaugeFermionConfig`` tuples on first use.
+    """
 
     spec: LatticeSpec
-    configs: tuple[GaugeFermionConfig, ...]
+    occupations: np.ndarray
+    fluxes: np.ndarray
     orbits: tuple[SymmetryOrbit, ...]
+
+    @cached_property
+    def configs(self) -> tuple[GaugeFermionConfig, ...]:
+        return tuple(_configs_of(self.occupations, self.fluxes))
 
     @property
     def dim(self) -> int:
@@ -259,12 +351,12 @@ class SymmetrySector:
 
     @property
     def n_configs(self) -> int:
-        return len(self.configs)
+        return len(self.fluxes)
 
     def isometry(self) -> np.ndarray:
         """(n_configs x dim) map V from sector coordinates to config
         coordinates; columns are orthonormal, so V.T @ V = identity."""
-        v = np.zeros((len(self.configs), len(self.orbits)))
+        v = np.zeros((self.n_configs, len(self.orbits)))
         for s, orbit in enumerate(self.orbits):
             v[list(orbit.members), s] = orbit.amplitude
         return v
@@ -276,30 +368,35 @@ def build_symmetry_sector(spec: LatticeSpec) -> SymmetrySector:
     Each sector basis state is the uniform superposition over one orbit of
     the group generated by the one-site translation and the reflection (zero
     momentum and even parity at once), and the count of such orbits is the
-    sector dimension.  One pass over the canonically ordered configs builds
-    them: each config not yet seen opens an orbit made of the N translations
-    of it and of its mirror image, and that config, the orbit's smallest
-    member, is its representative.
+    sector dimension.  Array passes over the configurations' flux codes
+    (``flux_codes``) build them: ``_orbit_keys`` labels every configuration
+    with the smallest code in its orbit, and the first configuration in
+    canonical order with a given label, the orbit's smallest member, is its
+    representative.  The arrays are bounded as in ``_physical_arrays``.
 
-    Basis states are therefore ordered by their representatives, i.e. by
-    (flux square sum, pair count, occupations, fluxes); the first two are
-    orbit invariants.
+    Basis states are ordered by their representatives, i.e. by (flux square
+    sum, pair count, occupations, fluxes); the first two are orbit invariants.
     """
-    configs = enumerate_physical_configs(spec)
-    index = {c: i for i, c in enumerate(configs)}
-    seen = set()
-    orbits = []
-    for i, cfg in enumerate(configs):
-        if i in seen:
-            continue
-        found = set()
-        # the images as plain (occupations, fluxes) pairs, shifted as in
-        # translate_config; a config is that pair, so the pair finds its index
-        for occ, flux in (cfg, reflect_config(cfg)):
-            for _ in range(spec.n_sites):
-                found.add(index[occ, flux])
-                occ, flux = occ[-2:] + occ[:-2], flux[-2:] + flux[:-2]
-        members = tuple(sorted(found))
-        seen.update(members)
-        orbits.append(SymmetryOrbit(members, i, cfg.flux_square_sum, cfg.n_pairs))
-    return SymmetrySector(spec=spec, configs=tuple(configs), orbits=tuple(orbits))
+    occ, flux = _physical_arrays(spec)
+    for arr in (occ, flux):
+        arr.flags.writeable = False
+    codes = flux_codes(flux, spec.flux_cutoff)
+    _, first, label = np.unique(
+        _orbit_keys(codes, flux, spec), return_index=True, return_inverse=True
+    )
+    # number the orbits by their representatives, the first index of each label
+    by_rep = np.argsort(first)
+    orbit_of = np.empty_like(by_rep)
+    orbit_of[by_rep] = np.arange(len(by_rep))
+    orbit_of = orbit_of[label]
+    reps = first[by_rep]
+    members = np.argsort(orbit_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(orbit_of)).tolist()
+    orbits = tuple(map(
+        SymmetryOrbit,
+        (tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
+        reps.tolist(),
+        (flux[reps] ** 2).sum(axis=1).tolist(),
+        occ[reps, 0::2].sum(axis=1).tolist(),
+    ))
+    return SymmetrySector(spec=spec, occupations=occ, fluxes=flux, orbits=orbits)

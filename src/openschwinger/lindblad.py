@@ -266,15 +266,20 @@ def build_lindblad_operator(
 ) -> np.ndarray:
     """L = sqrt(a * n_fermion * D) (O - [H, O] / 4T).
 
-    Real whenever H and O are real, which the sector builders guarantee;
-    generally non-Hermitian because the commutator part is anti-Hermitian.
+    O must be diagonal in the sector basis (ValueError otherwise), as the
+    condensate is, so the commutator is formed element by element,
+    [H, O]_ij = H_ij o_j - o_i H_ij.  Real whenever H is real, which the sector
+    builders guarantee; generally non-Hermitian because the commutator part is
+    anti-Hermitian.
     """
     h = _matrix_of(hamiltonian)
-    o = _matrix_of(condensate)
-    comm = h @ o - o @ h
-    return np.sqrt(params.a * spec.n_fermion * bath.coupling) * (
-        o - comm / (4.0 * bath.temperature)
-    )
+    o = _diagonal_of(condensate, "condensate")
+    comm = h * o
+    comm -= o[:, None] * h
+    lop = np.diag(o)
+    lop -= comm / (4.0 * bath.temperature)
+    lop *= np.sqrt(params.a * spec.n_fermion * bath.coupling)
+    return lop
 
 
 def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:

@@ -8,14 +8,17 @@ The Hamiltonian acts on physical configurations as
 with sp/sm the fermion raising/lowering operators and L+/L- raising and
 lowering the link flux, indices periodic.  A hop that would push a flux past
 the cutoff (or out of the truncated space) is simply absent.  The action of H
-on one configuration (diagonal, hop targets, flux shift) is written once, in
-``_apply_hamiltonian``, and both assemblies below use it:
+is written once, as array passes over configurations stored as rows of
+occupations and fluxes: ``_diagonal`` gives the diagonal and ``_hops`` every
+hop, as a source row and the flux code (``lattice.flux_codes``) of its
+target, which is looked up among the indexed codes.  Both assemblies below
+use them:
 
-* ``build_sector_operators`` applies it to one representative per symmetry
+* ``build_sector_operators`` applies them to one representative per symmetry
   orbit and fills the zero-momentum, positive-parity matrix directly (800 x
   800 at N = 8, never the 12387 x 12387 configuration matrix).  This is the
   path every engine and CLI command uses.
-* ``build_hamiltonian`` applies it to every configuration and, with
+* ``build_hamiltonian`` applies them to every configuration and, with
   ``project_operator``, is the dense test oracle for the direct assembly.
   Building both hop directions term by term makes that matrix symmetric
   exactly, not just to rounding.
@@ -37,12 +40,12 @@ error).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .lattice import GaugeFermionConfig, LatticeSpec, SymmetrySector
+from .lattice import GaugeFermionConfig, LatticeSpec, SymmetrySector, flux_codes
 
 __all__ = [
     "ModelParams",
@@ -102,8 +105,9 @@ class HermitianOperator:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        err = np.abs(m - m.conj().T).max() if m.size else 0.0
-        if err > HERMITICITY_TOL:
+        adjoint = m.conj().T
+        # the comparison alone settles the exactly Hermitian matrices the builders make
+        if not np.array_equal(m, adjoint) and (err := np.abs(m - adjoint).max()) > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {err:.3e}")
 
     @property
@@ -149,36 +153,39 @@ def _condensate(spec: LatticeSpec, items, params: ModelParams, tag: str) -> Herm
 
 
 # ---------------------------------------------------------------------------
-# configuration-basis operators
+# the action of H, and the configuration-basis oracle
 # ---------------------------------------------------------------------------
 
-def _apply_hamiltonian(
-    cfg: GaugeFermionConfig, params: ModelParams
-) -> tuple[float, float, list[GaugeFermionConfig]]:
-    """H applied to one configuration: (diagonal element, hop amplitude, hop
-    targets).
+def _diagonal(occ: np.ndarray, flux: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The diagonal of H on the configurations in the rows of ``occ`` and
+    ``flux``: the electric and the staggered mass term."""
+    a, e, m = params.a, params.e, params.m
+    electric = 0.5 * a * e * e * (flux * flux).sum(axis=1)
+    return electric + m * (occ[:, 0::2].sum(axis=1) - occ[:, 1::2].sum(axis=1))
+
+
+def _hops(occ: np.ndarray, flux: np.ndarray, flux_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hops of H out of the configurations in the rows of ``occ`` and
+    ``flux``: (source row, target flux code) per hop, in (row, bond) order.
 
     Every nearest-neighbour hop has amplitude 1/(2a).  A fermion hopping from
     n to n+1 raises the flux on the link between them and one hopping from n+1
-    to n lowers it, as Gauss's law requires.  Targets may lie outside the
-    flux cutoff or the truncated space; callers drop the ones they do not
-    index.
+    to n lowers it, as Gauss's law requires.  Hops past the flux cutoff are
+    left out; targets outside the truncated space are not, so callers drop
+    the codes they do not index.
     """
-    occ, flux = cfg.occupations, cfg.fluxes
-    nf = len(occ)
-    a, e, m = params.a, params.e, params.m
-    electric = 0.5 * a * e * e * cfg.flux_square_sum
-    mass = m * (sum(occ[0::2]) - sum(occ[1::2]))
-    targets = []
-    for n in range(nf):
-        np1 = (n + 1) % nf
-        if occ[n] != occ[np1]:
-            new_occ = list(occ)
-            new_occ[n], new_occ[np1] = occ[np1], occ[n]
-            new_flux = list(flux)
-            new_flux[n] += occ[n] - occ[np1]
-            targets.append(GaugeFermionConfig(tuple(new_occ), tuple(new_flux)))
-    return electric + mass, 1.0 / (2.0 * a), targets
+    step = occ - np.roll(occ, -1, axis=1)
+    src, bond = np.nonzero((step != 0) & (np.abs(flux + step) <= flux_cutoff))
+    targets = flux[src]
+    targets[np.arange(len(src)), bond] += step[src, bond]
+    return src, flux_codes(targets, flux_cutoff)
+
+
+def _index_in(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Position of each target in ``codes`` (distinct, in any order), -1 where absent."""
+    order = np.argsort(codes)
+    found = order[np.minimum(np.searchsorted(codes, targets, sorter=order), len(codes) - 1)]
+    return np.where(codes[found] == targets, found, -1)
 
 
 def build_hamiltonian(
@@ -192,14 +199,14 @@ def build_hamiltonian(
     must equal what ``build_sector_operators`` assembles directly.  Memory
     grows as the square of the config count (1.2 GB at N = 8).
     """
-    index = {c: i for i, c in enumerate(configs)}
-    h = np.zeros((len(configs), len(configs)))
-    for i, cfg in enumerate(configs):
-        h[i, i], hop, targets = _apply_hamiltonian(cfg, params)
-        for target in targets:
-            j = index.get(target)
-            if j is not None:
-                h[j, i] += hop
+    shape = (len(configs), spec.n_fermion)
+    occ = np.array([c.occupations for c in configs], dtype=np.int64).reshape(shape)
+    flux = np.array([c.fluxes for c in configs], dtype=np.int64).reshape(shape)
+    src, targets = _hops(occ, flux, spec.flux_cutoff)
+    target = _index_in(flux_codes(flux, spec.flux_cutoff), targets)
+    h = np.diag(_diagonal(occ, flux, params))
+    # distinct bonds reach distinct targets, so each entry takes one hop
+    h[target[target >= 0], src[target >= 0]] = 1.0 / (2.0 * params.a)
     return HermitianOperator(matrix=h, basis_tag=_basis_tag(spec, projected=False))
 
 
@@ -251,17 +258,20 @@ def _sector_hamiltonian(sector: SymmetrySector, params: ModelParams) -> np.ndarr
     is orbit-invariant.  Hops that leave the (truncated) space are dropped,
     exactly as in ``build_hamiltonian``.
     """
-    orbits = sector.orbits
-    orbit_of = {sector.configs[i]: t for t, o in enumerate(orbits) for i in o.members}
-    sizes = [len(o.members) for o in orbits]
-    h = np.zeros((len(orbits), len(orbits)))
-    for s, orbit in enumerate(orbits):
-        diag, hop, targets = _apply_hamiltonian(sector.configs[orbit.representative], params)
-        h[s, s] = diag
-        for target in targets:
-            t = orbit_of.get(target)
-            if t is not None:
-                h[t, s] += hop * math.sqrt(sizes[s] / sizes[t])
+    orbits, cutoff = sector.orbits, sector.spec.flux_cutoff
+    reps = np.array([o.representative for o in orbits], dtype=np.intp)
+    sizes = np.array([len(o.members) for o in orbits])
+    orbit_of = np.empty(sector.n_configs, dtype=np.intp)
+    orbit_of[list(chain.from_iterable(o.members for o in orbits))] = np.repeat(
+        np.arange(len(orbits)), sizes
+    )
+    occ, flux = sector.occupations[reps], sector.fluxes[reps]
+    src, targets = _hops(occ, flux, cutoff)
+    target = _index_in(flux_codes(sector.fluxes, cutoff), targets)
+    s, t = src[target >= 0], orbit_of[target[target >= 0]]
+    h = np.diag(_diagonal(occ, flux, params))
+    # in the (s, bond) order of the hops, so each entry sums as one loop would
+    np.add.at(h, (t, s), 1.0 / (2.0 * params.a) * np.sqrt(sizes[s] / sizes[t]))
     # each entry was computed from one side only; average away the rounding
     return 0.5 * (h + h.T)
 

@@ -57,6 +57,26 @@ def test_states_sector_check_catches_overlapping_orbits(monkeypatch, capsys):
     assert "cross-check FAILED" in capsys.readouterr().err
 
 
+def test_states_sector_of_an_unenumerable_lattice_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["states", "13", "--sector"])
+    assert err.value.code == 2
+    assert "N: the configurations of N = 13 could take" in capsys.readouterr().err
+
+
+def test_a_sector_whose_operators_exceed_the_setup_budget_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector operators built")
+
+    monkeypatch.setattr(cli, "build_sector_operators", refuse)
+    monkeypatch.setattr(cli, "SETUP_MAX_BYTES", 80 * 18**2 - 1)  # N = 4 truncated: dim 18
+    with pytest.raises(SystemExit) as err:
+        run_cli(["evolve", "--n-sites", "4", "-o", str(tmp_path / "run.csv")])
+    assert err.value.code == 2
+    assert "--n-sites: the operators of the dim 18 sector of N = 4" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_states_rejects_nonpositive_volume():
     with pytest.raises(SystemExit) as err:
         run_cli(["states", "0"])
@@ -103,7 +123,38 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     assert sidecar["config"]["dt"] == 0.01
     assert sidecar["config"]["truncate_total_flux"] is True
     assert sidecar["gibbs_reference"]["beta"] == pytest.approx(0.1)
-    assert set(sidecar) == {"config", "gibbs_reference", "wall_time_s"}
+    assert set(sidecar) == {"config", "gibbs_reference", "invariants", "thermal_gap", "wall_time_s"}
+    # the blocks summarize the rows of the CSV, which round-trip exactly
+    assert sidecar["invariants"]["max_trace_error"] == np.max(np.abs(rec.trace - 1.0))
+    assert sidecar["invariants"]["min_eig"] == np.min(rec.min_eig)
+    gap = sidecar["thermal_gap"]
+    assert gap["t"] == rec.times[-1]
+    assert gap["e2"] == rec.e2[-1] - sidecar["gibbs_reference"]["e2"]
+    assert gap["n_pairs"] == rec.n_pairs[-1] - sidecar["gibbs_reference"]["n_pairs"]
+
+
+def test_sidecar_reports_the_worst_invariants_and_the_thermal_gap(tmp_path):
+    rec = EvolutionRecord(
+        times=np.array([0.0, 0.5, 1.0]),
+        n_pairs=np.array([0.0, 0.5, 0.75]),
+        e2=np.array([0.0, 0.25, 0.5]),
+        trace=np.array([1.0, 1.0 - 3e-12, 1.0 + 1e-12]),
+        purity=np.ones(3),
+        min_eig=np.array([0.0, -2e-9, -1e-9]),
+        max_hermiticity_error=4e-13,
+    )
+    gibbs = {"beta": 0.1, "n_pairs": 1.0, "e2": 0.25}
+    out = tmp_path / "run.csv"
+    cli._write_outputs(out, rec, {"method": "rk4"}, gibbs, 1.5)
+    sidecar = json.loads((tmp_path / "run.json").read_text())
+    assert sidecar["invariants"] == {
+        "max_trace_error": float(np.max(np.abs(rec.trace - 1.0))),
+        "max_hermiticity_error": 4e-13,
+        "min_eig": -2e-9,
+    }
+    assert sidecar["thermal_gap"] == {"t": 1.0, "e2": 0.25, "n_pairs": -0.25}
+    assert sidecar["wall_time_s"] == 1.5
+    assert EvolutionRecord.from_csv(out.read_text()).trace[1] == rec.trace[1]
 
 
 def test_evolve_output_is_deterministic(tmp_path):
@@ -149,13 +200,14 @@ def test_evolve_exact_method(tmp_path):
         ("--t-max", ["evolve", "--n-sites", "2", "--t-max", "1e17", "--dt", "1", "-o", "OUT"]),
         ("--n-cycles", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "1",
                         "--n-cycles", "100000000000000000", "-o", "OUT"]),
+        ("--n-sites", ["evolve", "--n-sites", "13", "-o", "OUT"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
          "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
          "hamiltonian-zero-spacing", "overflowing-step-count", "exact-overflowing-step-count",
          "sweep-overflowing-step-count", "unindexable-step-count", "repeated-sites",
          "descending-sites", "negative-max-dev", "unrecordable-step-count",
-         "unrecordable-cycle-count"],
+         "unrecordable-cycle-count", "unenumerable-lattice"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""

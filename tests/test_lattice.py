@@ -1,5 +1,6 @@
 """Constrained-basis construction: enumeration, counting, symmetry projection."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from openschwinger import (
     gauss_residuals,
     staggered_charges,
 )
+from openschwinger import lattice
 from openschwinger.lattice import reflect_config, translate_config
 
 # physical-space dimensions at cutoff 1, small enough to recount here; the
@@ -236,6 +238,41 @@ def test_orbit_amplitudes_normalize_the_superposition(n_sites, flux_cutoff, trun
         for i in orbit.members:
             counts[i] += 1
     assert np.all(counts == 1)
+
+
+def test_a_lattice_over_the_byte_budget_is_refused_before_allocating(monkeypatch):
+    spec = LatticeSpec(n_sites=9, truncate_total_flux=True)
+    needed = lattice._setup_bytes(spec)
+    monkeypatch.setattr(lattice, "SECTOR_MAX_BYTES", needed - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="could take"):
+            build_symmetry_sector(spec)
+        with pytest.raises(ValueError, match="could take"):
+            enumerate_physical_configs(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(lattice, "SECTOR_MAX_BYTES", needed)
+    assert build_symmetry_sector(spec).dim == 2267
+
+
+@pytest.mark.parametrize("n_sites, flux_cutoff", [(2, 1), (6, 1), (9, 1), (4, 2), (3, 5)])
+def test_setup_bytes_bound_the_traced_peak(n_sites, flux_cutoff):
+    spec = LatticeSpec(n_sites, flux_cutoff)
+    tracemalloc.start()
+    try:
+        build_symmetry_sector(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= lattice._setup_bytes(spec) <= 2.5 * peak + 2**16
+
+
+def test_codes_that_overflow_int64_are_refused():
+    with pytest.raises(ValueError, match="overflow"):
+        build_symmetry_sector(LatticeSpec(n_sites=10, flux_cutoff=5))
 
 
 def test_spec_rejects_bad_parameters():
