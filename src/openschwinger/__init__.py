@@ -11,7 +11,6 @@ mirrors the quantum-circuit implementation.
 from .lattice import (
     GaugeFermionConfig,
     LatticeSpec,
-    SymmetryOrbit,
     SymmetrySector,
     build_symmetry_sector,
     count_physical_states,
@@ -63,7 +62,6 @@ __all__ = [
     "LatticeSpec",
     "ModelParams",
     "SectorOperators",
-    "SymmetryOrbit",
     "SymmetrySector",
     "build_dilation_hamiltonian",
     "build_lindblad_operator",

@@ -83,7 +83,8 @@ def _add_setup_args(p: argparse.ArgumentParser) -> None:
     """The flags ``_build_setup`` reads, bar the lattice size."""
     p.add_argument(
         "--full-flux",
-        action="store_true",
+        dest="truncate",
+        action="store_false",
         help="keep the uniform background-flux loops (default: drop them, as in the device runs)",
     )
     _add_model_args(p)
@@ -103,13 +104,12 @@ def _add_run_args(p: argparse.ArgumentParser, *, dt: float, stride: int) -> None
     p.add_argument("--stride", type=int, default=stride, help="record every STRIDE-th rk4 step")
 
 
-def _operators_from(args, *, dynamics: bool):
+def _operators_from(args):
     """(spec, params, sector operators) of the flags; bad values are usage errors."""
     n = args.n_sites
     if n < 1:
         raise _UsageError(f"--n-sites must be >= 1, got {n}")
-    truncate = (not args.full_flux) if dynamics else args.truncate
-    spec = LatticeSpec(n, truncate_total_flux=truncate)
+    spec = LatticeSpec(n, truncate_total_flux=args.truncate)
     try:
         params = ModelParams(a=args.a, e=args.e, m=args.m)
     except ValueError as exc:
@@ -172,7 +172,7 @@ def _bath_from(args) -> BathParams:
 def _build_setup(args):
     """Shared build path for the dynamical subcommands: (spec, bath, ops, lop)."""
     bath = _bath_from(args)
-    spec, params, ops = _operators_from(args, dynamics=True)
+    spec, params, ops = _operators_from(args)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
     return spec, bath, ops, lop
 
@@ -297,8 +297,10 @@ def cmd_states(args) -> int:
         sector = _sector_of(LatticeSpec(n, truncate_total_flux=args.truncate), "N")
         label = "truncated sector" if args.truncate else "sector"
         print(f"N={n}: {label} dim {sector.dim} (from {sector.n_configs} configurations)")
-        # the orbits must partition the configs: each index in exactly one
-        if sorted(i for orbit in sector.orbits for i in orbit.members) != list(range(sector.n_configs)):
+        # the orbits must partition the configs: each state in [0, dim) holds its representative
+        states = np.arange(sector.dim)
+        if not (np.array_equal(np.unique(sector.orbit_of), states)
+                and np.array_equal(sector.orbit_of[sector.representatives], states)):
             print("cross-check FAILED: sector orbits do not partition the configurations", file=sys.stderr)
             ok = False
     if not ok:
@@ -307,7 +309,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    _, _, ops = _operators_from(args, dynamics=False)
+    _, _, ops = _operators_from(args)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(matrix_to_json(ops.hamiltonian.matrix, ops.hamiltonian.basis_tag))
@@ -351,7 +353,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_gibbs(args) -> int:
     bath = _bath_from(args)
-    _, _, ops = _operators_from(args, dynamics=True)
+    _, _, ops = _operators_from(args)
     ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
     line = json.dumps(ref, indent=1)
     if args.output:

@@ -308,38 +308,23 @@ def _orbit_keys(codes: np.ndarray, fluxes: np.ndarray, spec: LatticeSpec) -> np.
 # zero-momentum, positive-parity sector
 # ---------------------------------------------------------------------------
 
-class SymmetryOrbit(NamedTuple):
-    """One basis state of the projected sector: a symmetry orbit of configs.
-
-    ``members`` are the sorted indices into the canonical config list of the
-    N translations of a config and of its mirror image; the basis state is the
-    uniform superposition with amplitude ``1/sqrt(len(members))``.
-    ``representative`` is the smallest member.
-    """
-
-    members: tuple[int, ...]
-    representative: int
-    flux_square_sum: int
-    n_pairs: int
-
-    @property
-    def amplitude(self) -> float:
-        return 1.0 / np.sqrt(len(self.members))
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetrySector:
     """Zero-momentum, positive-parity subspace of a physical config space.
 
     ``occupations`` and ``fluxes`` hold the physical configurations as rows,
     in canonical order; ``configs`` makes the same list of
-    ``GaugeFermionConfig`` tuples on first use.
+    ``GaugeFermionConfig`` tuples on first use.  Sector state s is the uniform
+    superposition over the configurations i with ``orbit_of[i] == s``, one
+    orbit of the translations and the reflection, and ``representatives[s]``
+    is the smallest of them.
     """
 
     spec: LatticeSpec
     occupations: np.ndarray
     fluxes: np.ndarray
-    orbits: tuple[SymmetryOrbit, ...]
+    orbit_of: np.ndarray
+    representatives: np.ndarray
 
     @cached_property
     def configs(self) -> tuple[GaugeFermionConfig, ...]:
@@ -347,7 +332,7 @@ class SymmetrySector:
 
     @property
     def dim(self) -> int:
-        return len(self.orbits)
+        return len(self.representatives)
 
     @property
     def n_configs(self) -> int:
@@ -356,9 +341,9 @@ class SymmetrySector:
     def isometry(self) -> np.ndarray:
         """(n_configs x dim) map V from sector coordinates to config
         coordinates; columns are orthonormal, so V.T @ V = identity."""
-        v = np.zeros((self.n_configs, len(self.orbits)))
-        for s, orbit in enumerate(self.orbits):
-            v[list(orbit.members), s] = orbit.amplitude
+        v = np.zeros((self.n_configs, self.dim))
+        amplitude = 1.0 / np.sqrt(np.bincount(self.orbit_of))
+        v[np.arange(self.n_configs), self.orbit_of] = amplitude[self.orbit_of]
         return v
 
 
@@ -372,31 +357,21 @@ def build_symmetry_sector(spec: LatticeSpec) -> SymmetrySector:
     (``flux_codes``) build them: ``_orbit_keys`` labels every configuration
     with the smallest code in its orbit, and the first configuration in
     canonical order with a given label, the orbit's smallest member, is its
-    representative.  The arrays are bounded as in ``_physical_arrays``.
+    representative.  The sector holds the two arrays that result,
+    ``orbit_of`` and ``representatives``, read-only like the configuration
+    rows.  The arrays are bounded as in ``_physical_arrays``.
 
     Basis states are ordered by their representatives, i.e. by (flux square
     sum, pair count, occupations, fluxes); the first two are orbit invariants.
     """
     occ, flux = _physical_arrays(spec)
-    for arr in (occ, flux):
-        arr.flags.writeable = False
-    codes = flux_codes(flux, spec.flux_cutoff)
-    _, first, label = np.unique(
-        _orbit_keys(codes, flux, spec), return_index=True, return_inverse=True
-    )
+    keys = _orbit_keys(flux_codes(flux, spec.flux_cutoff), flux, spec)
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
     # number the orbits by their representatives, the first index of each label
     by_rep = np.argsort(first)
-    orbit_of = np.empty_like(by_rep)
-    orbit_of[by_rep] = np.arange(len(by_rep))
-    orbit_of = orbit_of[label]
-    reps = first[by_rep]
-    members = np.argsort(orbit_of, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(orbit_of)).tolist()
-    orbits = tuple(map(
-        SymmetryOrbit,
-        (tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
-        reps.tolist(),
-        (flux[reps] ** 2).sum(axis=1).tolist(),
-        occ[reps, 0::2].sum(axis=1).tolist(),
-    ))
-    return SymmetrySector(spec=spec, occupations=occ, fluxes=flux, orbits=orbits)
+    rank = np.empty_like(by_rep)
+    rank[by_rep] = np.arange(len(by_rep))
+    orbit_of, reps = rank[label], first[by_rep]
+    for arr in (occ, flux, orbit_of, reps):
+        arr.flags.writeable = False
+    return SymmetrySector(spec, occ, flux, orbit_of, reps)

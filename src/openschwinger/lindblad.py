@@ -672,18 +672,19 @@ def exact_evolve(
     The states come from the action of expm(Lv t) on vec(R0) over the grid
     (``expm_multiply``, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
     (2011)); Lv stays sparse and is never exponentiated.  The grid must start
-    at 0 and be uniform.  It is taken in one call when its states fit in
-    ``_EXACT_GRID_BYTES`` and in consecutive blocks of that size otherwise,
-    each starting from the last state of the one before.  H and L must be
+    at 0 and be finite and uniform with a positive step (ValueError
+    otherwise, before any setup).  It is taken in one call when its states
+    fit in ``_EXACT_GRID_BYTES`` and in consecutive blocks of that size
+    otherwise, each starting from the last state of the one before.  H and L must be
     real and rho0 Hermitian, as for ``rk4_evolve``, and the records take the
     decoded rho as exactly Hermitian (``max_hermiticity_error`` is 0.0).
     """
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or len(times) < 2:
-        raise ValueError("time grid must start at 0 and contain at least two points")
+    if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or not np.isfinite(times).all():
+        raise ValueError("time grid must be 1-D and finite, start at 0 and contain at least two points")
     steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, times[-1]):
-        raise ValueError("time grid must be uniform")
+    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-12 * max(1.0, times[-1]))):
+        raise ValueError("time grid must be uniform and increasing")
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     r0 = _real_state_of(rho0)
     block = max(1, _EXACT_GRID_BYTES // r0.nbytes - 1)  # steps per call
@@ -762,11 +763,11 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     otherwise), so only the diagonal of the Gibbs state exp(-beta H) / Z,
     sum_k w_k |v_k|^2 with the Boltzmann weights w_k of the eigenvectors v_k
     (ground-state shifted), is formed: O(dim^2) after the eigendecomposition
-    instead of the O(dim^3) product that builds the state.  A negative beta
-    is refused with ValueError.
+    instead of the O(dim^3) product that builds the state.  A negative or
+    non-finite beta is refused with ValueError.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     evals, evecs = np.linalg.eigh(_matrix_of(hamiltonian))
     w = np.exp(-beta * (evals - evals[0]))
     occupation = (np.abs(evecs) ** 2) @ (w / w.sum())

@@ -31,9 +31,10 @@ Observables measured in the runs:
                     condensate density that couples the system to the bath
 
 All three are diagonal in the configuration basis and remain diagonal in the
-symmetry-projected basis.  Each is written once, over the two invariants
-``n_pairs`` and ``flux_square_sum`` that configurations and orbits both carry,
-so the sector diagonals are filled in directly (no floating-point projection
+symmetry-projected basis.  Each is written once, over rows of occupations or
+fluxes, and reads only the pair count or the flux-square sum, which are the
+same on every configuration of an orbit.  Applied to the representatives'
+rows it fills in the sector diagonal directly (no floating-point projection
 error).
 """
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -124,32 +124,33 @@ def _basis_tag(spec: LatticeSpec, projected: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# observables: one formula each, over configurations or orbits
+# observables: one formula each, over the rows of configurations
 # ---------------------------------------------------------------------------
 
-def _pair_count(items, tag: str) -> HermitianOperator:
+def _pair_count(occ: np.ndarray, tag: str) -> HermitianOperator:
     """Electron-positron pair number (= occupied even sites), diagonal over
-    ``items``, configurations or orbits."""
-    return HermitianOperator(np.diag([float(c.n_pairs) for c in items]), tag)
+    the rows of ``occ``."""
+    return HermitianOperator(np.diag(occ[:, 0::2].sum(axis=1).astype(float)), tag)
 
 
-def _electric_square(spec: LatticeSpec, items, params: ModelParams, tag: str) -> HermitianOperator:
-    """Mean squared electric field (e^2 / 2N) sum_n l[n]^2, diagonal over ``items``."""
+def _electric_square(spec: LatticeSpec, flux: np.ndarray, params: ModelParams, tag: str) -> HermitianOperator:
+    """Mean squared electric field (e^2 / 2N) sum_n l[n]^2, diagonal over the
+    rows of ``flux``."""
     scale = params.e**2 / (2.0 * spec.n_sites)
-    return HermitianOperator(np.diag([scale * c.flux_square_sum for c in items]), tag)
+    return HermitianOperator(np.diag(scale * (flux * flux).sum(axis=1)), tag)
 
 
-def _condensate(spec: LatticeSpec, items, params: ModelParams, tag: str) -> HermitianOperator:
+def _condensate(spec: LatticeSpec, occ: np.ndarray, params: ModelParams, tag: str) -> HermitianOperator:
     """Staggered scalar density (1/2a*2N) sum_n (-1)^n sigma_z(n), diagonal over
-    ``items``.
+    the rows of ``occ``.
 
     Equals (2*pairs - N) / (a*2N) on a configuration: the constant part of
     sigma_z = 2*occ - 1 cancels around the even-length chain, which also makes
     this form identical to the occupation form sum_n (-1)^n (sigma_z+1)/2
     normalized the same way.
     """
-    diag = [(2.0 * c.n_pairs - spec.n_sites) / (params.a * spec.n_fermion) for c in items]
-    return HermitianOperator(np.diag(diag), tag)
+    pairs = occ[:, 0::2].sum(axis=1)
+    return HermitianOperator(np.diag((2.0 * pairs - spec.n_sites) / (params.a * spec.n_fermion)), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +259,8 @@ def _sector_hamiltonian(sector: SymmetrySector, params: ModelParams) -> np.ndarr
     is orbit-invariant.  Hops that leave the (truncated) space are dropped,
     exactly as in ``build_hamiltonian``.
     """
-    orbits, cutoff = sector.orbits, sector.spec.flux_cutoff
-    reps = np.array([o.representative for o in orbits], dtype=np.intp)
-    sizes = np.array([len(o.members) for o in orbits])
-    orbit_of = np.empty(sector.n_configs, dtype=np.intp)
-    orbit_of[list(chain.from_iterable(o.members for o in orbits))] = np.repeat(
-        np.arange(len(orbits)), sizes
-    )
+    cutoff, orbit_of, reps = sector.spec.flux_cutoff, sector.orbit_of, sector.representatives
+    sizes = np.bincount(orbit_of)
     occ, flux = sector.occupations[reps], sector.fluxes[reps]
     src, targets = _hops(occ, flux, cutoff)
     target = _index_in(flux_codes(sector.fluxes, cutoff), targets)
@@ -286,13 +282,14 @@ def build_sector_operators(
     orbit-invariant entries, so their sector matrices are written down
     directly and are exact.
     """
-    spec, orbits = sector.spec, sector.orbits
+    spec, reps = sector.spec, sector.representatives
+    occ, flux = sector.occupations[reps], sector.fluxes[reps]
     tag = _basis_tag(spec, projected=True)
     return SectorOperators(
         sector=sector,
         params=params,
         hamiltonian=HermitianOperator(_sector_hamiltonian(sector, params), tag),
-        pair_count=_pair_count(orbits, tag),
-        electric_square=_electric_square(spec, orbits, params, tag),
-        condensate=_condensate(spec, orbits, params, tag),
+        pair_count=_pair_count(occ, tag),
+        electric_square=_electric_square(spec, flux, params, tag),
+        condensate=_condensate(spec, occ, params, tag),
     )

@@ -50,7 +50,8 @@ def test_states_sector_check_catches_overlapping_orbits(monkeypatch, capsys):
 
     def overlapping(spec):
         sector = build(spec)
-        return dataclasses.replace(sector, orbits=sector.orbits + sector.orbits[-1:])
+        reps = np.append(sector.representatives, sector.representatives[-1])
+        return dataclasses.replace(sector, representatives=reps)
 
     monkeypatch.setattr(cli, "build_symmetry_sector", overlapping)
     assert run_cli(["states", "2", "--sector"]) == 1
@@ -131,6 +132,15 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     assert gap["t"] == rec.times[-1]
     assert gap["e2"] == rec.e2[-1] - sidecar["gibbs_reference"]["e2"]
     assert gap["n_pairs"] == rec.n_pairs[-1] - sidecar["gibbs_reference"]["n_pairs"]
+
+
+@pytest.mark.parametrize("flags, dim, truncated", [([], 4, True), (["--full-flux"], 5, False)],
+                         ids=["default", "full-flux"])
+def test_evolve_full_flux_keeps_the_background_loops(tmp_path, capsys, flags, dim, truncated):
+    out = tmp_path / "run.csv"
+    assert run_cli(["evolve", "--n-sites", "2", "--t-max", "0.02", "--dt", "0.01", *flags, "-o", str(out)]) == 0
+    assert f"dim {dim}," in capsys.readouterr().out
+    assert json.loads((tmp_path / "run.json").read_text())["config"]["truncate_total_flux"] is truncated
 
 
 def test_sidecar_reports_the_worst_invariants_and_the_thermal_gap(tmp_path):

@@ -189,12 +189,10 @@ def test_sector_equals_trivial_representation_projector(n_sites):
 def test_orbit_members_closed_under_both_symmetries(n_sites):
     sector = build_symmetry_sector(LatticeSpec(n_sites=n_sites))
     index = {c: i for i, c in enumerate(sector.configs)}
-    for orbit in sector.orbits:
-        members = set(orbit.members)
-        for i in orbit.members:
-            cfg = sector.configs[i]
-            assert index[translate_config(cfg)] in members
-            assert index[reflect_config(cfg)] in members
+    orbit_of = sector.orbit_of
+    for i, cfg in enumerate(sector.configs):
+        assert orbit_of[index[translate_config(cfg)]] == orbit_of[i]
+        assert orbit_of[index[reflect_config(cfg)]] == orbit_of[i]
 
 
 @pytest.mark.parametrize("truncate", [False, True])
@@ -202,16 +200,17 @@ def test_vacuum_is_always_state_zero(truncate):
     for n_sites in (1, 2, 3, 4):
         spec = LatticeSpec(n_sites=n_sites, truncate_total_flux=truncate)
         sector = build_symmetry_sector(spec)
-        first = sector.orbits[0]
+        first = sector.configs[sector.representatives[0]]
         assert first.flux_square_sum == 0
         assert first.n_pairs == 0
-        assert len(first.members) == 1
-        assert all(l == 0 for l in sector.configs[first.representative].fluxes)
+        assert np.count_nonzero(sector.orbit_of == 0) == 1
+        assert all(l == 0 for l in first.fluxes)
 
 
 def test_orbits_sorted_by_flux_then_pair_count():
     sector = build_symmetry_sector(LatticeSpec(n_sites=4))
-    keys = [(o.flux_square_sum, o.n_pairs) for o in sector.orbits]
+    configs = sector.configs
+    keys = [(configs[r].flux_square_sum, configs[r].n_pairs) for r in sector.representatives]
     assert keys == sorted(keys)
 
 
@@ -225,19 +224,17 @@ ORBIT_CASES = [(n, 1) for n in range(1, 7)] + [(n, 2) for n in range(1, 4)]
 def test_orbit_amplitudes_normalize_the_superposition(n_sites, flux_cutoff, truncate):
     spec = LatticeSpec(n_sites=n_sites, flux_cutoff=flux_cutoff, truncate_total_flux=truncate)
     sector = build_symmetry_sector(spec)
-    for orbit in sector.orbits:
-        assert orbit.amplitude == pytest.approx(1.0 / np.sqrt(len(orbit.members)))
-        # the one-pass construction opens each orbit at its smallest member
-        assert orbit.representative == min(orbit.members)
+    orbit_of, reps = sector.orbit_of, sector.representatives
+    # every config belongs to exactly one orbit, and no orbit is empty
+    sizes = np.bincount(orbit_of, minlength=sector.dim)
+    assert orbit_of.min() >= 0 and len(sizes) == sector.dim and sizes.min() >= 1
+    v = sector.isometry()
+    assert np.count_nonzero(v) == sector.n_configs
+    assert v[np.arange(sector.n_configs), orbit_of] == pytest.approx(1.0 / np.sqrt(sizes[orbit_of]))
+    # the one-pass construction opens each orbit at its smallest member
+    assert np.array_equal(reps, [np.flatnonzero(orbit_of == s).min() for s in range(sector.dim)])
     # which keeps the basis in canonical order
-    reps = [orbit.representative for orbit in sector.orbits]
-    assert reps == sorted(reps) and len(set(reps)) == len(reps)
-    # every config belongs to exactly one orbit
-    counts = np.zeros(sector.n_configs, dtype=int)
-    for orbit in sector.orbits:
-        for i in orbit.members:
-            counts[i] += 1
-    assert np.all(counts == 1)
+    assert np.all(np.diff(reps) > 0)
 
 
 def test_a_lattice_over_the_byte_budget_is_refused_before_allocating(monkeypatch):

@@ -701,6 +701,25 @@ def test_exact_evolve_validates_its_grid(n2_setup):
         exact_evolve(rho0, ops.hamiltonian, lop, np.array([0.0, 0.1, 0.3]), **kw)
 
 
+@pytest.mark.parametrize(
+    "times",
+    [[], [0.0, -0.1, -0.2], [0.0, 0.0, 0.0], [0.0, np.nan, np.nan], [0.0, 0.1, np.inf],
+     [[0.0, 0.1], [0.2, 0.3]]],
+    ids=["empty", "decreasing", "zero-step", "nan", "inf", "2-D"],
+)
+def test_exact_evolve_refuses_a_bad_grid_before_setup(n2_setup, monkeypatch, times):
+    _, _, ops, _, lop = n2_setup
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+    def refuse(*args):
+        raise AssertionError("Liouvillian built")
+
+    monkeypatch.setattr(lindblad, "vectorized_liouvillian", refuse)
+    with pytest.raises(ValueError, match="time grid"):
+        exact_evolve(rho0, ops.hamiltonian, lop, times, **kw)
+
+
 def test_exact_evolve_takes_a_long_grid_in_blocks(n2_setup, monkeypatch):
     # five states per expm_multiply call: 20 steps in five blocks, each
     # starting from the last state of the one before
@@ -849,3 +868,10 @@ def test_gibbs_reference_rejects_negative_beta(n2_setup):
     _, _, ops, _, _ = n2_setup
     with pytest.raises(ValueError):
         gibbs_reference(ops.hamiltonian, -0.1, ops.pair_count, ops.electric_square)
+
+
+@pytest.mark.parametrize("beta", [np.inf, np.nan])
+def test_gibbs_reference_rejects_a_non_finite_beta(n2_setup, beta):
+    _, _, ops, _, _ = n2_setup
+    with pytest.raises(ValueError, match="finite"):
+        gibbs_reference(ops.hamiltonian, beta, ops.pair_count, ops.electric_square)

@@ -161,12 +161,12 @@ def test_direct_sector_observables_equal_projected_ones(n_sites):
     sector = build_symmetry_sector(spec)
     params = ModelParams()
     ops = build_sector_operators(sector, params)
-    configs = list(sector.configs)
+    occ, flux = sector.occupations, sector.fluxes
     tag = _basis_tag(spec, projected=False)
     for direct, full in (
-        (ops.pair_count, _pair_count(configs, tag)),
-        (ops.electric_square, _electric_square(spec, configs, params, tag)),
-        (ops.condensate, _condensate(spec, configs, params, tag)),
+        (ops.pair_count, _pair_count(occ, tag)),
+        (ops.electric_square, _electric_square(spec, flux, params, tag)),
+        (ops.condensate, _condensate(spec, occ, params, tag)),
     ):
         projected = project_operator(full, sector)
         assert np.allclose(direct.matrix, projected.matrix, atol=1e-13)

@@ -11,6 +11,7 @@ must come out equal (``==``), not merely close.
 """
 
 import math
+from collections import Counter
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -21,7 +22,6 @@ from openschwinger import (
     GaugeFermionConfig,
     LatticeSpec,
     ModelParams,
-    SymmetryOrbit,
     build_lindblad_operator,
     build_sector_operators,
     build_symmetry_sector,
@@ -50,22 +50,22 @@ def loop_configs(spec):
 
 def loop_orbits(spec, configs):
     """One pass over the canonically ordered configs: each config not yet
-    seen opens an orbit of the N translations of it and of its mirror image."""
+    seen opens an orbit of the N translations of it and of its mirror image.
+
+    Returns the orbit of each config and the representative of each orbit.
+    """
     index = {c: i for i, c in enumerate(configs)}
-    seen = set()
-    orbits = []
+    orbit_of = [None] * len(configs)
+    representatives = []
     for i, cfg in enumerate(configs):
-        if i in seen:
+        if orbit_of[i] is not None:
             continue
-        found = set()
         for occ, flux in (cfg, reflect_config(cfg)):
             for _ in range(spec.n_sites):
-                found.add(index[occ, flux])
+                orbit_of[index[occ, flux]] = len(representatives)
                 occ, flux = occ[-2:] + occ[:-2], flux[-2:] + flux[:-2]
-        members = tuple(sorted(found))
-        seen.update(members)
-        orbits.append(SymmetryOrbit(members, i, cfg.flux_square_sum, cfg.n_pairs))
-    return tuple(orbits)
+        representatives.append(i)
+    return orbit_of, representatives
 
 
 def apply_hamiltonian(cfg, params):
@@ -99,16 +99,16 @@ def loop_config_hamiltonian(configs, params):
     return h
 
 
-def loop_sector_hamiltonian(configs, orbits, params):
+def loop_sector_hamiltonian(configs, orbit_of, representatives, params):
     """Sandvik's representative formula, one orbit and one hop at a time."""
-    orbit_of = {configs[i]: t for t, o in enumerate(orbits) for i in o.members}
-    sizes = [len(o.members) for o in orbits]
-    h = np.zeros((len(orbits), len(orbits)))
-    for s, orbit in enumerate(orbits):
-        diag, hop, targets = apply_hamiltonian(configs[orbit.representative], params)
+    orbit_of_config = dict(zip(configs, orbit_of))
+    sizes = Counter(orbit_of)
+    h = np.zeros((len(representatives), len(representatives)))
+    for s, rep in enumerate(representatives):
+        diag, hop, targets = apply_hamiltonian(configs[rep], params)
         h[s, s] = diag
         for target in targets:
-            t = orbit_of.get(target)
+            t = orbit_of_config.get(target)
             if t is not None:
                 h[t, s] += hop * math.sqrt(sizes[s] / sizes[t])
     return 0.5 * (h + h.T)
@@ -131,12 +131,13 @@ def test_array_setup_equals_the_loop_oracle(n_sites, flux_cutoff, truncate):
     params = ModelParams(a=0.9, e=1.1, m=0.2) if n_sites % 2 else ModelParams()
     bath = BathParams.from_beta(0.1, 3.2)
     configs = loop_configs(spec)
-    orbits = loop_orbits(spec, configs)
-    h = loop_sector_hamiltonian(configs, orbits, params)
+    orbit_of, representatives = loop_orbits(spec, configs)
+    h = loop_sector_hamiltonian(configs, orbit_of, representatives, params)
 
     sector = build_symmetry_sector(spec)
     assert sector.configs == tuple(configs)
-    assert sector.orbits == orbits
+    assert sector.orbit_of.tolist() == orbit_of
+    assert sector.representatives.tolist() == representatives
     ops = build_sector_operators(sector, params)
     assert np.array_equal(ops.hamiltonian.matrix, h)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
