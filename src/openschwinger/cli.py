@@ -32,6 +32,7 @@ from .lindblad import (
     BathParams,
     DensityMatrix,
     EvolutionRecord,
+    _liouvillian_terms,
     _step_count,
     build_lindblad_operator,
     exact_evolve,
@@ -169,11 +170,16 @@ def _bath_from(args) -> BathParams:
         raise _UsageError(str(exc)) from exc
 
 
-def _build_setup(args):
-    """Shared build path for the dynamical subcommands: (spec, bath, ops, lop)."""
+def _build_setup(args, methods: set):
+    """(spec, bath, ops, lop) for the dynamical subcommands; a sector too large for ``methods`` is a usage error."""
     bath = _bath_from(args)
     spec, params, ops = _operators_from(args)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
+    if "exact" in methods:
+        try:
+            _liouvillian_terms(ops.hamiltonian, lop)
+        except ValueError as exc:
+            raise _UsageError(f"--method exact at N = {spec.n_sites}: {exc}") from None
     return spec, bath, ops, lop
 
 
@@ -191,13 +197,11 @@ def _run_method(args, method, ops, lop):
             rho0, ops.hamiltonian, lop, args.t_max, args.n_cycles,
             pair_count=ops.pair_count, electric_square=ops.electric_square,
         )
-    if method == "exact":
-        times = np.arange(_step_count(args.t_max, args.dt) + 1) * args.dt
-        return exact_evolve(
-            rho0, ops.hamiltonian, lop, times,
-            pair_count=ops.pair_count, electric_square=ops.electric_square,
-        )
-    raise _UsageError(f"unknown method {method!r}")
+    times = np.arange(_step_count(args.t_max, args.dt) + 1) * args.dt
+    return exact_evolve(
+        rho0, ops.hamiltonian, lop, times,
+        pair_count=ops.pair_count, electric_square=ops.electric_square,
+    )
 
 
 def _sidecar_path(out: Path) -> Path:
@@ -253,7 +257,7 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
 def _run_and_write(args, out: Path):
     """Build, run ``args.method`` and write the CSV and its sidecar to ``out``:
     the one run path of ``evolve`` and ``sweep``."""
-    spec, bath, ops, lop = _build_setup(args)
+    spec, bath, ops, lop = _build_setup(args, {args.method})
     t0 = time.perf_counter()
     record = _run_method(args, args.method, ops, lop)
     elapsed = time.perf_counter() - t0
@@ -369,7 +373,7 @@ def cmd_compare(args) -> int:
     _check_run_args(args, {args.method_a, args.method_b})
     if args.max_dev is not None and args.max_dev < 0:
         raise _UsageError(f"--max-dev must be >= 0, got {args.max_dev}")
-    _, _, ops, lop = _build_setup(args)
+    _, _, ops, lop = _build_setup(args, {args.method_a, args.method_b})
     # both runs and the grid check first, so a failure leaves no output behind
     rec_a = _run_method(args, args.method_a, ops, lop)
     rec_b = _run_method(args, args.method_b, ops, lop)

@@ -27,11 +27,11 @@ recorded observables must be diagonal in the sector basis:
                       iteration on one sparse LU of it, up to N = 5)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
 
-RK4 and the exact engine (with ``exact_propagate`` and ``steady_state``) need
-real H and L, take any Hermitian rho0 and hold it as one real matrix
-R = Re rho + Im rho; rho = (R + R^T)/2 + i (R - R^T)/2 is Hermitian bit for
-bit.  Only the dilation circuit, which mirrors the quantum device, keeps a
-complex rho.
+All three hold a Hermitian rho0 as one real matrix R = Re rho + Im rho;
+rho = (R + R^T)/2 + i (R - R^T)/2 is Hermitian bit for bit, so no record needs
+a Hermitian projection.  RK4 and the exact engine (with ``exact_propagate``
+and ``steady_state``) need real H and L; the dilation cycle, which mirrors the
+quantum device, maps R to R for complex ones too.
 
 Vectorization uses row-major (C-order) stacking, matching ``ndarray.reshape``:
 vec(A X B) = (A kron B^T) vec(X).  With G = L^T L and S the transposition,
@@ -174,10 +174,9 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(herm)[0])
 
     def validate(self, trace_tol=1e-9, herm_tol=1e-10, psd_tol=1e-7) -> "DensityMatrix":
-        _check_invariants(
-            self.trace, self.hermiticity_error, self.min_eigenvalue,
-            trace_tol=trace_tol, herm_tol=herm_tol, psd_tol=psd_tol,
-        )
+        _check_invariants(self.trace, self.min_eigenvalue, trace_tol=trace_tol, psd_tol=psd_tol)
+        if (herm := self.hermiticity_error) > herm_tol:
+            raise ValueError(f"hermiticity error {herm:.3e} > {herm_tol}")
         return self
 
     @classmethod
@@ -187,11 +186,9 @@ class DensityMatrix:
         return cls(rho)
 
 
-def _check_invariants(trace, herm, min_eig, *, trace_tol, herm_tol, psd_tol) -> None:
+def _check_invariants(trace, min_eig, *, trace_tol, psd_tol) -> None:
     if abs(trace - 1.0) > trace_tol:
         raise ValueError(f"trace {trace!r} deviates from 1 by more than {trace_tol}")
-    if herm > herm_tol:
-        raise ValueError(f"hermiticity error {herm:.3e} > {herm_tol}")
     if min_eig < -psd_tol:
         raise ValueError(f"minimum eigenvalue {min_eig:.3e} < -{psd_tol}")
 
@@ -294,16 +291,12 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
     )
 
 
-def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
-    """The real generator on row-major vec(R) (see module docstring), a
-    dim^2 x dim^2 CSR matrix.
-
-    Guarded: the nonzeros of its terms bound its size, 2 dim nnz(H) + nnz(L)^2
-    + 2 dim nnz(L^T L) entries of 12 B (a float64 value and an int32 column
-    index) plus the row pointers, and a generator whose bound exceeds
-    ``LIOUVILLIAN_MAX_BYTES`` is refused before any kron product is formed.
-    H and L must be real (ValueError otherwise).
-    """
+def _liouvillian_terms(hamiltonian, lindblad_op) -> tuple:
+    """H, L and L^T L / 2 as CSR matrices, for a generator known to fit: its
+    size is bounded by 2 dim nnz(H) + nnz(L)^2 + 2 dim nnz(L^T L) entries of
+    12 B (a float64 value and an int32 column index) plus the row pointers, and
+    a bound above ``LIOUVILLIAN_MAX_BYTES`` raises ValueError before any kron
+    product is formed.  H and L must be real (ValueError otherwise)."""
     h = scipy.sparse.csr_array(_real_matrix_of(hamiltonian, "hamiltonian"))
     lop = scipy.sparse.csr_array(_real_matrix_of(lindblad_op, "lindblad_op"))
     half_g = 0.5 * (lop.T @ lop)
@@ -315,6 +308,14 @@ def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
             f"superoperator for dim {dim} could take {nbytes / 2**20:.0f} MiB "
             f"(> {LIOUVILLIAN_MAX_BYTES / 2**20:.0f} MiB); use rk4_evolve for this size"
         )
+    return h, lop, half_g
+
+
+def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
+    """The real generator on row-major vec(R) (see module docstring), a
+    dim^2 x dim^2 CSR matrix, of the terms ``_liouvillian_terms`` admits."""
+    h, lop, half_g = _liouvillian_terms(hamiltonian, lindblad_op)
+    dim = h.shape[0]
     kron = scipy.sparse.kron
     ident = scipy.sparse.eye_array(dim, format="csr")
     # right-multiplying by S permutes the columns: column (i, j) <- (j, i)
@@ -335,40 +336,52 @@ def _diagonal_of(op, name: str) -> np.ndarray:
     return np.real(diag).copy()
 
 
+def _real_state_of(rho0) -> np.ndarray:
+    """R0 = Re rho + Im rho of the Hermitian part rho of rho0, a new real array.
+
+    R cannot hold a non-Hermitian part, so a rho0 whose Hermiticity error
+    exceeds 1e-10 (the ``validate`` default) is refused with ValueError.
+    """
+    rho0 = _matrix_of(rho0)
+    herm_err = DensityMatrix(rho0).hermiticity_error
+    if herm_err > 1e-10:
+        raise ValueError(f"rho0 is not Hermitian: hermiticity error {herm_err:.3e} > 1e-10")
+    herm = 0.5 * (rho0 + rho0.conj().T)
+    return np.real(herm) + np.imag(herm)
+
+
+def _density_of_real(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write rho = (R + R^T)/2 + i (R - R^T)/2, Hermitian bit for bit, into the
+    complex ``out``."""
+    np.add(r, r.T, out=out.real)
+    np.subtract(r, r.T, out=out.imag)
+    out *= 0.5
+    return out
+
+
 def _run_trajectory(
-    state, step, density, n_steps, time_of, *, pair_count, electric_square, stride=1,
-    tolerances=None, hermitian=False,
+    state, step, n_steps, time_of, rho, *, pair_count, electric_square, stride=1, tolerances=None,
 ) -> EvolutionRecord:
     """The one record loop behind every engine.
 
-    ``step(state, k)`` advances the engine state to step k <= ``n_steps`` and
-    ``density(state)`` returns its density matrix.  Step 0 (the initial state),
-    every ``stride``-th step and the last step are recorded, at ``time_of(k)``,
-    from a single diagnostics pass.  With ``tolerances`` (``validate`` keyword
-    arguments) every recorded row after the initial one is checked against
-    them.  An engine whose ``density`` is Hermitian bit for bit passes
-    ``hermitian``: its rows skip the Hermiticity error (0.0) and take the
-    minimum eigenvalue of the density matrix as it is.
+    ``step(state, k)`` advances the real state R (module docstring), a matrix
+    or its row-major vec, to step k <= ``n_steps``.  Step 0, every ``stride``-th
+    and the last step are recorded at ``time_of(k)`` from rho decoded into the
+    complex buffer ``rho``, Hermitian bit for bit (``max_hermiticity_error``
+    0.0); with ``tolerances`` (``trace_tol``, ``psd_tol``) every row but the first is checked.
     """
     pairs_diag = _diagonal_of(pair_count, "pair_count")
     e2_diag = _diagonal_of(electric_square, "electric_square")
     rows = []
-    max_herm = 0.0
     for k in range(n_steps + 1):
         if k > 0:
             state = step(state, k)
         if k % stride and k != n_steps:
             continue
-        rho = density(state)
-        dm = DensityMatrix(rho)
-        if hermitian:
-            herm, min_eig = 0.0, float(np.linalg.eigvalsh(rho)[0])
-        else:
-            herm, min_eig = dm.hermiticity_error, dm.min_eigenvalue
-        tr = dm.trace
+        dm = DensityMatrix(_density_of_real(state.reshape(rho.shape), rho))
+        tr, min_eig = dm.trace, float(np.linalg.eigvalsh(rho)[0])
         if tolerances is not None and k > 0:
-            _check_invariants(tr, herm, min_eig, **tolerances)
-        max_herm = max(max_herm, herm)
+            _check_invariants(tr, min_eig, **tolerances)
         rows.append((
             time_of(k),
             float(np.real(np.sum(pairs_diag * np.diagonal(rho)))),
@@ -377,7 +390,7 @@ def _run_trajectory(
             dm.purity,
             min_eig,
         ))
-    return EvolutionRecord(*np.array(rows).T, max_hermiticity_error=max_herm)
+    return EvolutionRecord(*np.array(rows).T)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +416,6 @@ def _real_matrix_of(op, name: str) -> np.ndarray:
     if np.iscomplexobj(m) and np.any(m.imag):
         raise ValueError(f"{name} must be real; got a nonzero imaginary part")
     return np.ascontiguousarray(m.real, dtype=float)
-
-
-def _real_state_of(rho0) -> np.ndarray:
-    """R0 = Re rho + Im rho of the Hermitian part rho of rho0, a new real array.
-
-    R cannot hold a non-Hermitian part, so a rho0 whose Hermiticity error
-    exceeds 1e-10 (the ``validate`` default) is refused with ValueError.
-    """
-    rho0 = _matrix_of(rho0)
-    herm_err = DensityMatrix(rho0).hermiticity_error
-    if herm_err > 1e-10:
-        raise ValueError(f"rho0 is not Hermitian: hermiticity error {herm_err:.3e} > 1e-10")
-    herm = 0.5 * (rho0 + rho0.conj().T)
-    return np.real(herm) + np.imag(herm)
 
 
 def _real_operands(h: np.ndarray, lop: np.ndarray) -> tuple:
@@ -538,15 +537,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _density_of_real(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write rho = (R + R^T)/2 + i (R - R^T)/2, Hermitian bit for bit, into the
-    complex ``out``."""
-    np.add(r, r.T, out=out.real)
-    np.subtract(r, r.T, out=out.imag)
-    out *= 0.5
-    return out
-
-
 def rk4_evolve(
     rho0,
     hamiltonian,
@@ -564,26 +554,17 @@ def rk4_evolve(
     is monitored every step and the run aborts if it leaves 1 by more than
     ``TRACE_ABORT_TOL`` or turns non-finite.  H and L must be real.
 
-    The state is the single real matrix R = X + Y, where X = Re rho is
-    symmetric and Y = Im rho antisymmetric, so rho = (R + R^T)/2 + i (R - R^T)/2
-    and tr R = tr rho.  For real H and L, with G = L^T L, the generator reads
+    The state is the real matrix R of the module docstring, and for real H
+    and L, with G = L^T L, the generator reads
 
         dR/dt = R^T H - H R^T + L R L^T - 1/2 (G R + R G),
 
-    five matrix products per right-hand side (see ``_real_rhs``).  H and L
-    enter them as CSR matrices when fewer than ``RK4_SPARSE_BELOW`` of their
-    entries are nonzero (the truncated sectors from N = 6 on) and as dense
-    arrays otherwise.  A step works in four preallocated dim x dim buffers
-    and updates R in place.  From dim ``RK4_THREADS_FROM_DIM`` on (N = 7 and
-    up), in a process allowed on more than one CPU, the CSR products run on
-    two threads (``_threaded_real_rhs``): the calling one and a worker that
-    lives for this call only.  dR/dt, and so every record, is bit for bit the
-    serial result; a right-hand side at N = 8 (dim 800) takes 24-26 ms instead
-    of 43-46 ms on two cores.  Every real R encodes a Hermitian rho, so no step
-    can leave the Hermitian matrices, and the records take the decoded rho as
-    exactly Hermitian (``max_hermiticity_error`` is 0.0).  A rho0 whose
-    Hermiticity error exceeds 1e-10 is refused with ValueError (see
-    ``_real_state_of``).
+    five matrix products per right-hand side (``_real_rhs``), with CSR or
+    dense operands (``_real_operands``) and from dim ``RK4_THREADS_FROM_DIM``
+    on run on two threads (``_threaded_real_rhs``; dR/dt, and so every record,
+    is bit for bit the serial result).  A step works in four preallocated
+    dim x dim buffers and updates R in place.  A rho0 whose Hermiticity error
+    exceeds 1e-10 is refused with ValueError (see ``_real_state_of``).
     """
     h = _real_matrix_of(hamiltonian, "hamiltonian")
     lop = _real_matrix_of(lindblad_op, "lindblad_op")
@@ -624,8 +605,8 @@ def rk4_evolve(
         rhs = (_threaded_real_rhs(*operands, pool, rho.view(float)) if threaded
                else _real_rhs(*operands))
         return _run_trajectory(
-            r0, step, lambda r: _density_of_real(r, rho), n_steps, lambda k: k * dt,
-            pair_count=pair_count, electric_square=electric_square, stride=stride, hermitian=True,
+            r0, step, n_steps, lambda k: k * dt, rho,
+            pair_count=pair_count, electric_square=electric_square, stride=stride,
         )
 
 
@@ -676,8 +657,7 @@ def exact_evolve(
     otherwise, before any setup).  It is taken in one call when its states
     fit in ``_EXACT_GRID_BYTES`` and in consecutive blocks of that size
     otherwise, each starting from the last state of the one before.  H and L must be
-    real and rho0 Hermitian, as for ``rk4_evolve``, and the records take the
-    decoded rho as exactly Hermitian (``max_hermiticity_error`` is 0.0).
+    real and rho0 Hermitian, as for ``rk4_evolve``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or not np.isfinite(times).all():
@@ -699,11 +679,9 @@ def exact_evolve(
             vec = grid[-1]
 
     flow = states()
-    rho = np.empty(r0.shape, dtype=complex)
     return _run_trajectory(
-        r0.ravel(), lambda vec, k: next(flow),
-        lambda vec: _density_of_real(vec.reshape(r0.shape), rho), len(steps), times.__getitem__,
-        pair_count=pair_count, electric_square=electric_square, hermitian=True,
+        r0.ravel(), lambda vec, k: next(flow), len(steps), times.__getitem__,
+        np.empty(r0.shape, dtype=complex), pair_count=pair_count, electric_square=electric_square,
     )
 
 
@@ -746,8 +724,7 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
         last, change = change, float(np.max(np.abs(nxt - vec)))
         vec = nxt
         if change >= last:
-            rho = np.empty((dim, dim), dtype=complex)
-            return DensityMatrix(_density_of_real(vec.reshape(dim, dim), rho))
+            return DensityMatrix(_density_of_real(vec.reshape(dim, dim), np.empty((dim, dim), complex)))
     raise RuntimeError(f"steady state not converged after {_STEADY_STATE_SOLVES} solves "
                        f"(last change {change:.3e}): Lv has an eigenvalue too close to 0")
 

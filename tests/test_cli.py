@@ -211,13 +211,17 @@ def test_evolve_exact_method(tmp_path):
         ("--n-cycles", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "1",
                         "--n-cycles", "100000000000000000", "-o", "OUT"]),
         ("--n-sites", ["evolve", "--n-sites", "13", "-o", "OUT"]),
+        ("--method exact", ["evolve", "--n-sites", "7", "--method", "exact", "-o", "OUT"]),
+        ("--method exact", ["compare", "--n-sites", "7", "--method-a", "rk4", "--method-b", "exact",
+                            "--t-max", "0.01", "--dt", "0.005", "--out-a", "OUT"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
          "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
          "hamiltonian-zero-spacing", "overflowing-step-count", "exact-overflowing-step-count",
          "sweep-overflowing-step-count", "unindexable-step-count", "repeated-sites",
          "descending-sites", "negative-max-dev", "unrecordable-step-count",
-         "unrecordable-cycle-count", "unenumerable-lattice"],
+         "unrecordable-cycle-count", "unenumerable-lattice", "exact-superoperator-too-large",
+         "compare-exact-superoperator-too-large"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""
@@ -331,11 +335,12 @@ def test_compare_rk4_against_exact_at_six_sites(capsys):
 
 
 def test_compare_writes_nothing_when_a_run_fails(tmp_path, capsys):
-    # rk4 succeeds; exact then refuses the dim-284 superoperator before allocating it
-    code = run_cli(["compare", "--n-sites", "7", "--method-a", "rk4", "--method-b", "exact",
-                    "--t-max", "0.1", "--dt", "0.01", "--out-a", str(tmp_path / "a.csv")])
+    # exact succeeds; rk4 then aborts at a step size it cannot hold
+    with np.errstate(all="ignore"):
+        code = run_cli(["compare", "--n-sites", "2", "--method-a", "exact", "--method-b", "rk4",
+                        "--t-max", "50", "--dt", "5", "--out-a", str(tmp_path / "a.csv")])
     assert code == 1
-    assert "superoperator" in capsys.readouterr().err
+    assert "rk4 aborted" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -364,6 +369,16 @@ def test_sweep_writes_per_volume_runs_and_summary(tmp_path, capsys):
         rec = EvolutionRecord.from_csv((tmp_path / run["csv"]).read_text())
         assert rec.times[-1] == pytest.approx(1.0)
         assert run["gibbs_e2"] > 0
+
+
+def test_sweep_refuses_an_exact_size_before_its_engine_starts(tmp_path, capsys):
+    # N = 2 runs; the N = 7 generator (bound 139 MiB) is a usage error
+    with pytest.raises(SystemExit) as err:
+        run_cli(["sweep", "--sites", "2,7", "--method", "exact", "--t-max", "0.1", "--dt", "0.05",
+                 "-o", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--method exact at N = 7: superoperator" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["evolve_N2.csv", "evolve_N2.json"]
 
 
 def test_sweep_rejects_bad_tail_fraction(tmp_path):

@@ -397,14 +397,16 @@ REAL_STATE_ENGINES = {
 }
 
 
-@pytest.mark.parametrize("engine", ["rk4_evolve", "exact_evolve", "exact_propagate"])
+@pytest.mark.parametrize("engine", ["rk4_evolve", "exact_evolve", "exact_propagate", "dilation_evolve"])
 def test_rk4_refuses_a_non_hermitian_rho0(n2_setup, engine):
     _, _, ops, _, lop = n2_setup
     rho0 = random_density(np.random.default_rng(5), ops.dim)
     rho0 = rho0 + 1e-6 * np.triu(np.ones((ops.dim, ops.dim)), 1)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    engines = {**REAL_STATE_ENGINES,
+               "dilation_evolve": lambda rho0, h, lop, kw: dilation_evolve(rho0, h, lop, 0.1, 2, **kw)}
     with pytest.raises(ValueError, match="rho0"):
-        REAL_STATE_ENGINES[engine](rho0, ops.hamiltonian, lop, kw)
+        engines[engine](rho0, ops.hamiltonian, lop, kw)
 
 
 def test_rk4_holds_a_complex_state_to_the_long_horizon_without_projection():
