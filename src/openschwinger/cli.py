@@ -232,8 +232,9 @@ def _config_dict(args, method, spec, bath) -> dict:
 
 def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict, elapsed: float) -> None:
     """The CSV of ``record`` and its JSON sidecar: the run's config, the Gibbs
-    reference, the worst invariant values over all rows, the last row's
-    distance from the Gibbs reference and the engine's wall time."""
+    reference (full sector and C-even block), the worst invariant values over
+    all rows, the last row's distance from both Gibbs lines and the engine's
+    wall time."""
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(record.to_csv())
     sidecar = {
@@ -248,6 +249,10 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
             "t": float(record.times[-1]),
             "e2": float(record.e2[-1] - gibbs["e2"]),
             "n_pairs": float(record.n_pairs[-1] - gibbs["n_pairs"]),
+            "c_even": {
+                "e2": float(record.e2[-1] - gibbs["c_even"]["e2"]),
+                "n_pairs": float(record.n_pairs[-1] - gibbs["c_even"]["n_pairs"]),
+            },
         },
         "wall_time_s": elapsed,
     }
@@ -435,6 +440,8 @@ def cmd_sweep(args) -> int:
                 "eq_n_pairs": eq_pairs,
                 "gibbs_e2": gibbs["e2"],
                 "gibbs_n_pairs": gibbs["n_pairs"],
+                "gibbs_e2_c_even": gibbs["c_even"]["e2"],
+                "gibbs_n_pairs_c_even": gibbs["c_even"]["n_pairs"],
                 "wall_time_s": elapsed,
                 "csv": out.name,
             }

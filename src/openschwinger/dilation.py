@@ -62,8 +62,8 @@ def cycle_propagator(hamiltonian, lindblad_op, dt: float) -> np.ndarray:
     unitary act on nonzero input, so the cycle is W rho W+ followed by the
     partial trace over the ancilla blocks.
     """
-    if dt <= 0:
-        raise ValueError(f"cycle length must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"cycle length must be finite and positive, got {dt}")
     lop = _matrix_of(lindblad_op)
     dim = lop.shape[0]
     u_j = unitary_from_hamiltonian(build_dilation_hamiltonian(lop), np.sqrt(dt))
@@ -109,10 +109,13 @@ def dilation_evolve(
     state R of rho0 (refused with ValueError unless Hermitian to 1e-10, see
     ``_real_state_of``).  Every cycle is checked against ``CYCLE_TOLERANCES``
     (trace to 1e-12, positivity to 1e-10), and the returned record samples
-    every cycle boundary including t=0.
+    every cycle boundary including t=0.  A t_max that is not finite and
+    positive is refused with ValueError before any setup.
     """
     if n_cycles < 1:
         raise ValueError(f"need at least one cycle, got {n_cycles}")
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     r0 = _real_state_of(rho0)
     dt = t_max / n_cycles
     w = cycle_propagator(hamiltonian, lindblad_op, dt)

@@ -15,6 +15,13 @@ so electrons carry charge -1 and positrons +1 and the vacuum is neutral with
 zero flux everywhere.  Only configurations satisfying this constraint at every
 site are physical; everything in this module enumerates, counts, and
 symmetry-reduces that constrained space.
+
+Charge conjugation C maps a configuration to occ'[n] = 1 - occ[n+1] and
+l'[n] = -l[n+1] (indices mod 2N).  It keeps Gauss's law, the cutoff, the
+flux truncation, the pair count and E^2, and C^2 is the one-site translation,
+so on the zero-momentum sector it permutes the orbit states
+(``SymmetrySector.conjugation``) and the Hamiltonian splits into its C-even
+and C-odd blocks.
 """
 
 from __future__ import annotations
@@ -282,6 +289,24 @@ def reflect_config(config: GaugeFermionConfig) -> GaugeFermionConfig:
     return GaugeFermionConfig(occ[:1] + occ[:0:-1], tuple(-l for l in reversed(flux)))
 
 
+def _index_in(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Position of each target in ``codes`` (distinct, in any order), -1 where absent."""
+    order = np.argsort(codes)
+    found = order[np.minimum(np.searchsorted(codes, targets, sorter=order), len(codes) - 1)]
+    return np.where(codes[found] == targets, found, -1)
+
+
+def _conjugate_codes(codes: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """The flux code of the charge conjugate of each configuration.
+
+    l'[n] = -l[n+1] rotates the digits left by one and flips each one,
+    d -> 2 cutoff - d, as the mirror image in ``_orbit_keys`` does.
+    """
+    base, nf = 2 * spec.flux_cutoff + 1, spec.n_fermion
+    top = base ** (nf - 1)
+    return (base**nf - 1) - (codes % top * base + codes // top)
+
+
 def _orbit_keys(codes: np.ndarray, fluxes: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     """The smallest code over the orbit of each configuration: over the N
     translations of it and of its mirror image.
@@ -317,7 +342,9 @@ class SymmetrySector:
     ``GaugeFermionConfig`` tuples on first use.  Sector state s is the uniform
     superposition over the configurations i with ``orbit_of[i] == s``, one
     orbit of the translations and the reflection, and ``representatives[s]``
-    is the smallest of them.
+    is the smallest of them.  ``conjugation[s]`` is the state that charge
+    conjugation maps s to: an involution of the states, since C^2 is a
+    translation, that fixes the vacuum (state 0).
     """
 
     spec: LatticeSpec
@@ -325,6 +352,7 @@ class SymmetrySector:
     fluxes: np.ndarray
     orbit_of: np.ndarray
     representatives: np.ndarray
+    conjugation: np.ndarray
 
     @cached_property
     def configs(self) -> tuple[GaugeFermionConfig, ...]:
@@ -359,19 +387,25 @@ def build_symmetry_sector(spec: LatticeSpec) -> SymmetrySector:
     canonical order with a given label, the orbit's smallest member, is its
     representative.  The sector holds the two arrays that result,
     ``orbit_of`` and ``representatives``, read-only like the configuration
-    rows.  The arrays are bounded as in ``_physical_arrays``.
+    rows, and ``conjugation``: the orbit of the charge conjugate of each
+    representative, whose code (``_conjugate_codes``) is looked up among the
+    configurations' codes.  The arrays are bounded as in
+    ``_physical_arrays``.
 
     Basis states are ordered by their representatives, i.e. by (flux square
     sum, pair count, occupations, fluxes); the first two are orbit invariants.
     """
     occ, flux = _physical_arrays(spec)
-    keys = _orbit_keys(flux_codes(flux, spec.flux_cutoff), flux, spec)
+    codes = flux_codes(flux, spec.flux_cutoff)
+    keys = _orbit_keys(codes, flux, spec)
     _, first, label = np.unique(keys, return_index=True, return_inverse=True)
     # number the orbits by their representatives, the first index of each label
     by_rep = np.argsort(first)
     rank = np.empty_like(by_rep)
     rank[by_rep] = np.arange(len(by_rep))
     orbit_of, reps = rank[label], first[by_rep]
-    for arr in (occ, flux, orbit_of, reps):
+    # C keeps every constraint of the space, so each conjugate is found
+    conjugation = orbit_of[_index_in(codes, _conjugate_codes(codes[reps], spec))]
+    for arr in (occ, flux, orbit_of, reps, conjugation):
         arr.flags.writeable = False
-    return SymmetrySector(spec, occ, flux, orbit_of, reps)
+    return SymmetrySector(spec, occ, flux, orbit_of, reps, conjugation)

@@ -632,7 +632,10 @@ def _expm_multiply(lv, vec, **grid) -> np.ndarray:
 
 
 def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
-    """rho(t), decoded from vec(R(t)) = expm(Lv t) vec(R0); Hermitian bit for bit."""
+    """rho(t), decoded from vec(R(t)) = expm(Lv t) vec(R0); Hermitian bit for bit.
+    A t that is negative or not finite is refused with ValueError before Lv is built."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     r0 = _real_state_of(rho0)
     r_t = _expm_multiply(lv * t, r0.ravel()).reshape(r0.shape)
@@ -734,22 +737,63 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> dict:
-    """Thermal expectation values used as the equilibrium reference lines.
+    """Thermal expectation values used as the equilibrium reference lines:
+    ``n_pairs`` and ``e2`` of the whole sector's Gibbs state exp(-beta H) / Z,
+    and ``c_even``, the same of the C-even block's, which holds the vacuum.
+
+    With P = ``hamiltonian.conjugation`` (the identity for an operator without
+    one, or a plain array) the states are ordered as P's fixed points f, then
+    the first member a of each pair, then its partner b.  The C-even block on
+    the f and (a + b)/sqrt 2 states has couplings sqrt 2 H_fa and the block
+    H_aa + H_ab; the C-odd block on the (a - b)/sqrt 2 states is H_aa - H_ab.
+    P must commute with H exactly, checked on the permuted blocks (ValueError
+    otherwise).  Each block is diagonalized on its own (476 and 324 states
+    instead of 800 at N = 8), with the Boltzmann weights shifted by the lower
+    of the two ground energies.
 
     Both observables must be diagonal in the sector basis (ValueError
-    otherwise), so only the diagonal of the Gibbs state exp(-beta H) / Z,
-    sum_k w_k |v_k|^2 with the Boltzmann weights w_k of the eigenvectors v_k
-    (ground-state shifted), is formed: O(dim^2) after the eigendecomposition
-    instead of the O(dim^3) product that builds the state.  A negative or
-    non-finite beta is refused with ValueError.
+    otherwise), so only the diagonal of each block's Gibbs state,
+    sum_k w_k |v_k|^2 over its eigenvectors v_k, is formed; a pair's two
+    states share the weight of its (a + b) and (a - b) states evenly.  A
+    negative or non-finite beta is refused with ValueError.
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    evals, evecs = np.linalg.eigh(_matrix_of(hamiltonian))
-    w = np.exp(-beta * (evals - evals[0]))
-    occupation = (np.abs(evecs) ** 2) @ (w / w.sum())
-    return {
-        "beta": beta,
-        "n_pairs": float(occupation @ _diagonal_of(pair_count, "pair_count")),
-        "e2": float(occupation @ _diagonal_of(electric_square, "electric_square")),
-    }
+    h = _matrix_of(hamiltonian)
+    states = np.arange(len(h))
+    p = getattr(hamiltonian, "conjugation", None)
+    p = states if p is None else p
+    fixed, first = np.flatnonzero(p == states), np.flatnonzero(p > states)
+    order = np.concatenate([fixed, first, p[first]])
+    hp = h.take(order, axis=0).take(order, axis=1)
+    f, n = len(fixed), len(first)
+    top, mid, low = hp[:f], hp[f:f + n], hp[f + n:]
+    if not (np.array_equal(top[:, f:f + n], top[:, f + n:]) and np.array_equal(mid[:, :f], low[:, :f])
+            and np.array_equal(mid[:, f:f + n], low[:, f + n:])
+            and np.array_equal(mid[:, f + n:], low[:, f:f + n])):
+        raise ValueError("the Hamiltonian does not commute with its conjugation")
+    odd = mid[:, f:f + n] - mid[:, f + n:]
+    even = hp[:f + n, :f + n]  # a view, changed in place once the odd block is formed
+    even[f:, f:] += mid[:, f + n:]
+    even[:f, f:] *= np.sqrt(2.0)
+    even[f:, :f] *= np.sqrt(2.0)
+    evals_even, vecs_even = np.linalg.eigh(even)
+    evals_odd, vecs_odd = np.linalg.eigh(odd)
+    ground = min(evals_even[0], evals_odd[0]) if n else evals_even[0]
+    w_even = np.exp(-beta * (evals_even - ground))
+    w_odd = np.exp(-beta * (evals_odd - ground))
+    # unnormalized diagonals of the two blocks' Gibbs states
+    occ_even = (np.abs(vecs_even) ** 2) @ w_even
+    occ_odd = (np.abs(vecs_odd) ** 2) @ w_odd
+    z_even = w_even.sum()
+    z = z_even + w_odd.sum()
+
+    def means(op, name):
+        d = _diagonal_of(op, name)[order]
+        pair = 0.5 * (d[f:f + n] + d[f + n:])
+        in_even = occ_even @ np.concatenate([d[:f], pair])
+        return float((in_even + occ_odd @ pair) / z), float(in_even / z_even)
+
+    n_pairs, n_pairs_even = means(pair_count, "pair_count")
+    e2, e2_even = means(electric_square, "electric_square")
+    return {"beta": beta, "n_pairs": n_pairs, "e2": e2, "c_even": {"n_pairs": n_pairs_even, "e2": e2_even}}

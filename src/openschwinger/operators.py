@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GaugeFermionConfig, LatticeSpec, SymmetrySector, flux_codes
+from .lattice import GaugeFermionConfig, LatticeSpec, SymmetrySector, _index_in, flux_codes
 
 __all__ = [
     "ModelParams",
@@ -96,10 +96,19 @@ def matrix_from_json(text: str) -> tuple[np.ndarray, str]:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense Hermitian matrix tagged with the basis it lives in."""
+    """A dense Hermitian matrix tagged with the basis it lives in.
+
+    ``conjugation``, when given, is a permutation of the basis that squares
+    to the identity and is claimed to commute with the matrix: the charge
+    conjugation P of ``SymmetrySector.conjugation``, which
+    ``build_sector_operators`` sets on the sector Hamiltonian.
+    ``gibbs_reference`` splits the matrix into P's even and odd blocks and
+    checks the commutation there; without it P is the identity.
+    """
 
     matrix: np.ndarray
     basis_tag: str
+    conjugation: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -109,6 +118,11 @@ class HermitianOperator:
         # the comparison alone settles the exactly Hermitian matrices the builders make
         if not np.array_equal(m, adjoint) and (err := np.abs(m - adjoint).max()) > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {err:.3e}")
+        if self.conjugation is not None:
+            p = np.asarray(self.conjugation)
+            if not (p.shape == (len(m),) and np.issubdtype(p.dtype, np.integer)
+                    and np.all((p >= 0) & (p < len(m))) and np.array_equal(p[p], np.arange(len(m)))):
+                raise ValueError(f"conjugation must be an involution of range({len(m)})")
 
     @property
     def dim(self) -> int:
@@ -180,13 +194,6 @@ def _hops(occ: np.ndarray, flux: np.ndarray, flux_cutoff: int) -> tuple[np.ndarr
     targets = flux[src]
     targets[np.arange(len(src)), bond] += step[src, bond]
     return src, flux_codes(targets, flux_cutoff)
-
-
-def _index_in(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Position of each target in ``codes`` (distinct, in any order), -1 where absent."""
-    order = np.argsort(codes)
-    found = order[np.minimum(np.searchsorted(codes, targets, sorter=order), len(codes) - 1)]
-    return np.where(codes[found] == targets, found, -1)
 
 
 def build_hamiltonian(
@@ -278,7 +285,8 @@ def build_sector_operators(
     """Hamiltonian and observables on the zero-momentum positive-parity basis.
 
     The Hamiltonian is assembled directly from the orbit representatives,
-    without the configuration-space matrix; the observables are diagonal with
+    without the configuration-space matrix, and carries the sector's charge
+    conjugation (``HermitianOperator.conjugation``); the observables are diagonal with
     orbit-invariant entries, so their sector matrices are written down
     directly and are exact.
     """
@@ -288,7 +296,7 @@ def build_sector_operators(
     return SectorOperators(
         sector=sector,
         params=params,
-        hamiltonian=HermitianOperator(_sector_hamiltonian(sector, params), tag),
+        hamiltonian=HermitianOperator(_sector_hamiltonian(sector, params), tag, sector.conjugation),
         pair_count=_pair_count(occ, tag),
         electric_square=_electric_square(spec, flux, params, tag),
         condensate=_condensate(spec, occ, params, tag),

@@ -128,10 +128,13 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     # the blocks summarize the rows of the CSV, which round-trip exactly
     assert sidecar["invariants"]["max_trace_error"] == np.max(np.abs(rec.trace - 1.0))
     assert sidecar["invariants"]["min_eig"] == np.min(rec.min_eig)
-    gap = sidecar["thermal_gap"]
+    gap, gibbs = sidecar["thermal_gap"], sidecar["gibbs_reference"]
     assert gap["t"] == rec.times[-1]
-    assert gap["e2"] == rec.e2[-1] - sidecar["gibbs_reference"]["e2"]
-    assert gap["n_pairs"] == rec.n_pairs[-1] - sidecar["gibbs_reference"]["n_pairs"]
+    assert gap["e2"] == rec.e2[-1] - gibbs["e2"]
+    assert gap["n_pairs"] == rec.n_pairs[-1] - gibbs["n_pairs"]
+    # the C-even line, which the vacuum reaches, is the full one at N = 2
+    assert gibbs["c_even"] == {"n_pairs": gibbs["n_pairs"], "e2": gibbs["e2"]}
+    assert gap["c_even"] == {"e2": gap["e2"], "n_pairs": gap["n_pairs"]}
 
 
 @pytest.mark.parametrize("flags, dim, truncated", [([], 4, True), (["--full-flux"], 5, False)],
@@ -153,7 +156,7 @@ def test_sidecar_reports_the_worst_invariants_and_the_thermal_gap(tmp_path):
         min_eig=np.array([0.0, -2e-9, -1e-9]),
         max_hermiticity_error=4e-13,
     )
-    gibbs = {"beta": 0.1, "n_pairs": 1.0, "e2": 0.25}
+    gibbs = {"beta": 0.1, "n_pairs": 1.0, "e2": 0.25, "c_even": {"n_pairs": 0.5, "e2": 0.375}}
     out = tmp_path / "run.csv"
     cli._write_outputs(out, rec, {"method": "rk4"}, gibbs, 1.5)
     sidecar = json.loads((tmp_path / "run.json").read_text())
@@ -162,7 +165,9 @@ def test_sidecar_reports_the_worst_invariants_and_the_thermal_gap(tmp_path):
         "max_hermiticity_error": 4e-13,
         "min_eig": -2e-9,
     }
-    assert sidecar["thermal_gap"] == {"t": 1.0, "e2": 0.25, "n_pairs": -0.25}
+    assert sidecar["thermal_gap"] == {
+        "t": 1.0, "e2": 0.25, "n_pairs": -0.25, "c_even": {"e2": 0.125, "n_pairs": 0.25},
+    }
     assert sidecar["wall_time_s"] == 1.5
     assert EvolutionRecord.from_csv(out.read_text()).trace[1] == rec.trace[1]
 
@@ -369,6 +374,13 @@ def test_sweep_writes_per_volume_runs_and_summary(tmp_path, capsys):
         rec = EvolutionRecord.from_csv((tmp_path / run["csv"]).read_text())
         assert rec.times[-1] == pytest.approx(1.0)
         assert run["gibbs_e2"] > 0
+        sidecar = json.loads((tmp_path / run["csv"]).with_suffix(".json").read_text())
+        assert run["gibbs_e2_c_even"] == sidecar["gibbs_reference"]["c_even"]["e2"]
+        assert run["gibbs_n_pairs_c_even"] == sidecar["gibbs_reference"]["c_even"]["n_pairs"]
+    # at N = 4 the C-even line sits above the full sector's
+    n4 = summary["runs"][1]
+    assert n4["gibbs_e2_c_even"] == pytest.approx(0.421755, abs=1e-6)
+    assert n4["gibbs_e2"] == pytest.approx(0.415796, abs=1e-6)
 
 
 def test_sweep_refuses_an_exact_size_before_its_engine_starts(tmp_path, capsys):

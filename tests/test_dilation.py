@@ -105,6 +105,27 @@ def test_cycle_propagator_rejects_nonpositive_step(n2):
         cycle_propagator(ops.hamiltonian, lop, 0.0)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf], ids=["nan", "inf"])
+def test_cycle_propagator_rejects_a_non_finite_step(n2, dt):
+    _, _, ops, _, lop = n2
+    with pytest.raises(ValueError, match="cycle length"):
+        cycle_propagator(ops.hamiltonian, lop, dt)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_dilation_evolve_refuses_a_bad_horizon_before_setup(n2, monkeypatch, t_max):
+    _, _, ops, _, lop = n2
+
+    def refuse(*args):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(dilation, "_real_state_of", refuse)
+    monkeypatch.setattr(dilation, "cycle_propagator", refuse)
+    with pytest.raises(ValueError, match="t_max"):
+        dilation_evolve(DensityMatrix.pure_state(ops.dim, 0), ops.hamiltonian, lop, t_max, 10,
+                        pair_count=ops.pair_count, electric_square=ops.electric_square)
+
+
 def test_single_cycle_error_shrinks_four_fold_per_halving(n2, rng):
     _, _, ops, _, lop = n2
     rho = random_density(rng, ops.dim)

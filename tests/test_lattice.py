@@ -29,6 +29,9 @@ KNOWN_COUNTS = {1: 5, 2: 13, 3: 38, 4: 117, 5: 370, 6: 1186}
 SECTOR_DIMS = {1: 3, 2: 5, 3: 9, 4: 19, 6: 110}
 SECTOR_DIMS_TRUNCATED = {2: 4, 4: 18, 6: 109}
 
+# C-even dimensions of the truncated sectors (of 4, 18, 41, 109, 284, 800)
+C_EVEN_DIMS_TRUNCATED = {2: 4, 4: 16, 5: 34, 6: 78, 7: 186, 8: 476}
+
 
 def flux_first_configs(n_sites, flux_cutoff=1):
     """Enumerate the physical space by scanning flux tuples.
@@ -139,6 +142,15 @@ def test_sector_dimension_full_space(n_sites, dim):
 def test_sector_dimension_truncated_space(n_sites, dim):
     spec = LatticeSpec(n_sites=n_sites, truncate_total_flux=True)
     assert build_symmetry_sector(spec).dim == dim
+
+
+@pytest.mark.parametrize("n_sites,c_even", sorted(C_EVEN_DIMS_TRUNCATED.items()))
+def test_charge_conjugation_splits_the_truncated_sector(n_sites, c_even):
+    # the C-even block holds P's fixed points and one state per swapped pair
+    sector = build_symmetry_sector(LatticeSpec(n_sites=n_sites, truncate_total_flux=True))
+    p = sector.conjugation
+    assert not p.flags.writeable
+    assert (sector.dim + np.count_nonzero(p == np.arange(sector.dim))) // 2 == c_even
 
 
 def _permutation_matrix(configs, op):

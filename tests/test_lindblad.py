@@ -19,6 +19,7 @@ from openschwinger import (
     BathParams,
     DensityMatrix,
     EvolutionRecord,
+    HermitianOperator,
     LatticeSpec,
     ModelParams,
     build_lindblad_operator,
@@ -42,6 +43,29 @@ from openschwinger.operators import build_hamiltonian
 # from the eigendecomposition oracle
 GIBBS_N2_E2 = 0.3564747014220561
 GIBBS_N2_PAIRS = 0.9642044409706013
+
+# C-even Gibbs E^2 of the truncated sectors at the same working point
+C_EVEN_GIBBS_E2 = {4: 0.421755, 5: 0.430242, 6: 0.436218, 7: 0.438040, 8: 0.439266}
+
+
+def full_eigh_gibbs(h, beta, pair_count, electric_square):
+    """Test-only oracle: (n_pairs, e2) of exp(-beta H) / Z from one
+    eigendecomposition of the whole matrix, for diagonal observables."""
+    evals, evecs = np.linalg.eigh(h)
+    w = np.exp(-beta * (evals - evals[0]))
+    occupation = (np.abs(evecs) ** 2) @ (w / w.sum())
+    return occupation @ np.diag(pair_count), occupation @ np.diag(electric_square)
+
+
+def c_even_basis(conjugation):
+    """Orthonormal columns spanning the C-even states: e_s for each fixed
+    point s of P and (e_s + e_P(s)) / sqrt 2 for each pair."""
+    starts = [s for s, image in enumerate(conjugation) if image >= s]
+    basis = np.zeros((len(conjugation), len(starts)))
+    for k, s in enumerate(starts):
+        images = {s, int(conjugation[s])}
+        basis[sorted(images), k] = 1.0 / np.sqrt(len(images))
+    return basis
 
 
 def dense_liouvillian(h, lop):
@@ -722,6 +746,18 @@ def test_exact_evolve_refuses_a_bad_grid_before_setup(n2_setup, monkeypatch, tim
         exact_evolve(rho0, ops.hamiltonian, lop, times, **kw)
 
 
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_exact_propagate_refuses_a_bad_time_before_setup(n2_setup, monkeypatch, t):
+    _, _, ops, _, lop = n2_setup
+
+    def refuse(*args):
+        raise AssertionError("Liouvillian built")
+
+    monkeypatch.setattr(lindblad, "vectorized_liouvillian", refuse)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        exact_propagate(DensityMatrix.pure_state(ops.dim, 0), ops.hamiltonian, lop, t)
+
+
 def test_exact_evolve_takes_a_long_grid_in_blocks(n2_setup, monkeypatch):
     # five states per expm_multiply call: 20 steps in five blocks, each
     # starting from the last state of the one before
@@ -864,6 +900,58 @@ def test_gibbs_reference_values_are_frozen(n2_setup):
     assert ref["beta"] == pytest.approx(0.1)
     assert ref["e2"] == pytest.approx(GIBBS_N2_E2, abs=1e-12)
     assert ref["n_pairs"] == pytest.approx(GIBBS_N2_PAIRS, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_sites", range(1, 9))
+@pytest.mark.parametrize("truncate", [False, True], ids=["full", "truncated"])
+def test_block_gibbs_reference_matches_one_full_eigendecomposition(n_sites, truncate):
+    _, sector, ops, bath, _ = standard_setup(n_sites, truncate=truncate)
+    h, pairs, e2 = ops.hamiltonian.matrix, ops.pair_count.matrix, ops.electric_square.matrix
+    observables = (ops.pair_count, ops.electric_square)
+    ref = gibbs_reference(ops.hamiltonian, bath.beta, *observables)
+    oracle = full_eigh_gibbs(h, bath.beta, pairs, e2)
+    assert abs(ref["n_pairs"] - oracle[0]) <= 1e-14 and abs(ref["e2"] - oracle[1]) <= 1e-14
+    v = c_even_basis(sector.conjugation)
+    even = full_eigh_gibbs(v.T @ h @ v, bath.beta, v.T @ pairs @ v, v.T @ e2 @ v)
+    assert abs(ref["c_even"]["n_pairs"] - even[0]) <= 1e-14
+    assert abs(ref["c_even"]["e2"] - even[1]) <= 1e-14
+    # a plain matrix has no conjugation: one block, whose line is the full one
+    plain = gibbs_reference(h, bath.beta, *observables)
+    assert abs(plain["e2"] - oracle[1]) <= 1e-14
+    assert plain["c_even"] == {"n_pairs": plain["n_pairs"], "e2": plain["e2"]}
+
+
+def test_c_even_gibbs_line_is_the_roadmap_table_and_the_full_line_at_two_sites():
+    for n_sites, expected in C_EVEN_GIBBS_E2.items():
+        _, _, ops, bath, _ = standard_setup(n_sites)
+        ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
+        assert ref["c_even"]["e2"] == pytest.approx(expected, abs=1e-6)
+        assert ref["c_even"]["e2"] > ref["e2"]
+    _, _, ops, bath, _ = standard_setup(2)
+    ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
+    assert ref["c_even"] == {"n_pairs": ref["n_pairs"], "e2": ref["e2"]}
+
+
+def test_gibbs_reference_refuses_a_conjugation_that_does_not_commute(n2_setup):
+    _, _, ops, bath, _ = n2_setup
+    # swapping the vacuum and a flux state changes H
+    h = HermitianOperator(ops.hamiltonian.matrix, "test", np.array([1, 0, 2, 3]))
+    with pytest.raises(ValueError, match="commute"):
+        gibbs_reference(h, bath.beta, ops.pair_count, ops.electric_square)
+
+
+@pytest.mark.parametrize("n_sites", [4, 5])
+def test_the_vacuums_long_time_limit_is_the_c_even_gibbs_state(n_sites):
+    # the vacuum is C-even and the flow never leaves that block, so the late
+    # state reaches the C-even Gibbs line and not the full sector's
+    _, _, ops, bath, lop = standard_setup(n_sites)
+    late = exact_propagate(DensityMatrix.pure_state(ops.dim, 0), ops.hamiltonian, lop, 100.0)
+    ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
+    for key, op in (("e2", ops.electric_square), ("n_pairs", ops.pair_count)):
+        value = expectation(late, op)
+        to_even, to_full = abs(value - ref["c_even"][key]), abs(value - ref[key])
+        assert to_even <= 5e-4, key
+        assert 10 * to_even <= to_full, key
 
 
 def test_gibbs_reference_rejects_negative_beta(n2_setup):

@@ -193,6 +193,23 @@ def test_hermitian_operator_rejects_asymmetric_input():
         HermitianOperator(bad, "test")
 
 
+@pytest.mark.parametrize(
+    "conjugation",
+    [[1, 2, 0], [0, 1], [0, 1, 3], [0, -1, 2], [0.0, 1.0, 2.0]],
+    ids=["three-cycle", "short", "out-of-range", "negative", "float"],
+)
+def test_hermitian_operator_rejects_a_conjugation_that_is_not_an_involution(conjugation):
+    with pytest.raises(ValueError, match="involution"):
+        HermitianOperator(np.eye(3), "test", np.array(conjugation))
+
+
+def test_sector_hamiltonian_carries_the_sector_conjugation():
+    sector = build_symmetry_sector(LatticeSpec(n_sites=4, truncate_total_flux=True))
+    ops = build_sector_operators(sector, ModelParams())
+    assert ops.hamiltonian.conjugation is sector.conjugation
+    assert ops.pair_count.conjugation is None
+
+
 def test_model_params_reject_nonpositive_lattice_spacing():
     with pytest.raises(ValueError):
         ModelParams(a=0.0)

@@ -3,11 +3,12 @@
 The oracle builds everything one configuration or one orbit at a time, in
 plain Python: the enumeration as the half-filled patterns and their flux
 seeds sorted by ``GaugeFermionConfig.sort_key``, the orbits in one pass over
-the canonically ordered configurations, H by applying the Hamiltonian to
-each orbit's representative, and L with the commutator as two dense matrix
+the canonically ordered configurations, the charge conjugation by applying C
+to each representative's tuple, H by applying the Hamiltonian to each
+orbit's representative, and L with the commutator as two dense matrix
 products.  The package builds the same objects in array passes, in the same
-floating-point order, so configurations, orbits, H, L and the Gibbs reference
-must come out equal (``==``), not merely close.
+floating-point order, so configurations, orbits, the conjugation, H, L and
+the Gibbs reference must come out equal (``==``), not merely close.
 """
 
 import math
@@ -20,6 +21,7 @@ import pytest
 from openschwinger import (
     BathParams,
     GaugeFermionConfig,
+    HermitianOperator,
     LatticeSpec,
     ModelParams,
     build_lindblad_operator,
@@ -66,6 +68,22 @@ def loop_orbits(spec, configs):
                 occ, flux = occ[-2:] + occ[:-2], flux[-2:] + flux[:-2]
         representatives.append(i)
     return orbit_of, representatives
+
+
+def loop_conjugation(configs, orbit_of, representatives):
+    """The orbit of C applied to each representative: occ'[n] = 1 - occ[n+1]
+    and l'[n] = -l[n+1], indices mod 2N."""
+    orbit_of_config = dict(zip(configs, orbit_of))
+    conjugation = []
+    for rep in representatives:
+        occ, flux = configs[rep]
+        nf = len(occ)
+        image = GaugeFermionConfig(
+            tuple(1 - occ[(n + 1) % nf] for n in range(nf)),
+            tuple(-flux[(n + 1) % nf] for n in range(nf)),
+        )
+        conjugation.append(orbit_of_config[image])
+    return conjugation
 
 
 def apply_hamiltonian(cfg, params):
@@ -132,19 +150,28 @@ def test_array_setup_equals_the_loop_oracle(n_sites, flux_cutoff, truncate):
     bath = BathParams.from_beta(0.1, 3.2)
     configs = loop_configs(spec)
     orbit_of, representatives = loop_orbits(spec, configs)
+    conjugation = loop_conjugation(configs, orbit_of, representatives)
     h = loop_sector_hamiltonian(configs, orbit_of, representatives, params)
 
     sector = build_symmetry_sector(spec)
     assert sector.configs == tuple(configs)
     assert sector.orbit_of.tolist() == orbit_of
     assert sector.representatives.tolist() == representatives
+    assert sector.conjugation.tolist() == conjugation
     ops = build_sector_operators(sector, params)
     assert np.array_equal(ops.hamiltonian.matrix, h)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
     assert np.array_equal(lop, gemm_lindblad_operator(h, ops.condensate.matrix, spec, params, bath))
+    # P is an involution that fixes the vacuum and commutes exactly with H,
+    # L and the observables
+    p = sector.conjugation
+    assert p[0] == 0 and np.array_equal(p[p], np.arange(sector.dim))
+    for m in (h, lop, ops.pair_count.matrix, ops.electric_square.matrix, ops.condensate.matrix):
+        assert np.array_equal(m[p][:, p], m)
     observables = (ops.pair_count, ops.electric_square)
+    loop_h = HermitianOperator(h, ops.hamiltonian.basis_tag, np.array(conjugation))
     assert gibbs_reference(ops.hamiltonian, bath.beta, *observables) == gibbs_reference(
-        h, bath.beta, *observables
+        loop_h, bath.beta, *observables
     )
     if len(configs) <= 400:
         config_h = build_hamiltonian(spec, configs, params).matrix
