@@ -337,10 +337,12 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    out = Path(args.output)
+    if _sidecar_path(out) == out:
+        raise _UsageError(f"-o/--output {out}: a .json CSV would be overwritten by its JSON sidecar")
     _check_run_args(args, {args.method})
     if args.dump_unitaries and args.method != "dilation":
         raise _UsageError("--dump-unitaries only applies to the dilation method")
-    out = Path(args.output)
     ops, lop, record, _, elapsed = _run_and_write(args, out)
     print(
         f"wrote {out} and {_sidecar_path(out)}: dim {ops.hamiltonian.dim}, "
@@ -375,6 +377,8 @@ def cmd_gibbs(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.out_a and args.out_b and Path(args.out_a).resolve() == Path(args.out_b).resolve():
+        raise _UsageError(f"--out-b {args.out_b}: the same file as --out-a, which it would overwrite")
     _check_run_args(args, {args.method_a, args.method_b})
     if args.max_dev is not None and args.max_dev < 0:
         raise _UsageError(f"--max-dev must be >= 0, got {args.max_dev}")
@@ -421,7 +425,6 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"method": args.method, "t_max": args.t_max, "tail_frac": tail_frac, "runs": []}
-    thermal_values = []
     records = []
     for n in sites:
         sub = argparse.Namespace(**vars(args), n_sites=n)
@@ -430,7 +433,6 @@ def cmd_sweep(args) -> int:
         tail = record.times >= record.times[-1] * (1.0 - tail_frac)
         eq_e2 = float(np.mean(record.e2[tail]))
         eq_pairs = float(np.mean(record.n_pairs[tail]))
-        thermal_values.append(gibbs["e2"])
         records.append(record)
         summary["runs"].append(
             {
@@ -448,31 +450,29 @@ def cmd_sweep(args) -> int:
         )
         print(f"N={n}: dim {ops.hamiltonian.dim}, tail-mean e2 = {eq_e2:.6f}, thermal e2 = {gibbs['e2']:.6f} ({elapsed:.1f}s)")
 
-    # Two convergence-with-volume readouts.  The thermal-value gaps track the
-    # equilibrium reference lines; the curve distances track how close
-    # successive trajectories run to each other.  Both shrink as N grows.
-    # The tail means above are informational: their residual relaxation bias
-    # is N dependent, so their gaps are a poor convergence measure.
-    thermal_gaps = [abs(b - a) for a, b in zip(thermal_values, thermal_values[1:])]
-    summary["thermal_e2_gaps"] = thermal_gaps
-    summary["thermal_gaps_decreasing"] = all(b < a for a, b in zip(thermal_gaps, thermal_gaps[1:]))
-    curve_distances = []
-    for ra, rb in zip(records, records[1:]):
-        ia, ib = _align_records(ra, rb)
-        if len(ia) >= 2:
-            curve_distances.append(float(np.max(np.abs(ra.e2[ia] - rb.e2[ib]))))
-    if len(curve_distances) == len(records) - 1:
-        summary["curve_e2_distances"] = curve_distances
-        summary["curve_distances_decreasing"] = all(
-            b < a for a, b in zip(curve_distances, curve_distances[1:])
-        )
+    # Two convergence-with-volume readouts, both shrinking as N grows: the gaps
+    # between successive thermal lines (full sector, and the C-even block the
+    # vacuum reaches) and the distances between successive trajectories on their
+    # shared time grid.  The tail means above are informational: their N
+    # dependent relaxation bias makes their gaps a poor convergence measure.
+    for suffix in ("", "_c_even"):
+        values = [run[f"gibbs_e2{suffix}"] for run in summary["runs"]]
+        gaps = [abs(b - a) for a, b in zip(values, values[1:])]
+        summary[f"thermal_e2_gaps{suffix}"] = gaps
+        summary[f"thermal_gaps{suffix}_decreasing"] = all(b < a for a, b in zip(gaps, gaps[1:]))
+    if len(records[0]) > 1:  # a --t-max 0 run records one row
+        curve = [float(np.max(np.abs(ra.e2 - rb.e2))) for ra, rb in zip(records, records[1:])]
+        summary["curve_e2_distances"] = curve
+        summary["curve_distances_decreasing"] = all(b < a for a, b in zip(curve, curve[1:]))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=1))
-    if thermal_gaps:
-        print("thermal e2 gaps:", ", ".join(f"{g:.6f}" for g in thermal_gaps))
-        if curve_distances:
-            print("trajectory sup distances:", ", ".join(f"{g:.6f}" for g in curve_distances))
-        if len(thermal_gaps) > 1:
+    if len(sites) > 1:
+        print("thermal e2 gaps:", ", ".join(f"{g:.6f}" for g in summary["thermal_e2_gaps"]))
+        print("C-even thermal e2 gaps:", ", ".join(f"{g:.6f}" for g in summary["thermal_e2_gaps_c_even"]))
+        if "curve_e2_distances" in summary:
+            print("trajectory sup distances:", ", ".join(f"{g:.6f}" for g in summary["curve_e2_distances"]))
+        if len(sites) > 2:
             print("gaps decreasing:", summary["thermal_gaps_decreasing"])
+            print("C-even gaps decreasing:", summary["thermal_gaps_c_even_decreasing"])
     print(f"wrote {out_dir / 'summary.json'}")
     return 0
 

@@ -121,6 +121,5 @@ def dilation_evolve(
     w = cycle_propagator(hamiltonian, lindblad_op, dt)
     return _run_trajectory(
         r0, lambda r, k: dilation_cycle(r, w), n_cycles, lambda k: k * dt,
-        np.empty(r0.shape, dtype=complex),
         pair_count=pair_count, electric_square=electric_square, tolerances=CYCLE_TOLERANCES,
     )

@@ -343,16 +343,19 @@ def _real_state_of(rho0) -> np.ndarray:
     exceeds 1e-10 (the ``validate`` default) is refused with ValueError.
     """
     rho0 = _matrix_of(rho0)
-    herm_err = DensityMatrix(rho0).hermiticity_error
+    skew = rho0 - rho0.conj().T
+    herm_err = float(np.max(np.abs(skew)))
     if herm_err > 1e-10:
         raise ValueError(f"rho0 is not Hermitian: hermiticity error {herm_err:.3e} > 1e-10")
-    herm = 0.5 * (rho0 + rho0.conj().T)
+    herm = rho0 - 0.5 * skew
     return np.real(herm) + np.imag(herm)
 
 
-def _density_of_real(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _density_of_real(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Write rho = (R + R^T)/2 + i (R - R^T)/2, Hermitian bit for bit, into the
-    complex ``out``."""
+    complex ``out`` (a new array when none is given)."""
+    if out is None:
+        out = np.empty(r.shape, dtype=complex)
     np.add(r, r.T, out=out.real)
     np.subtract(r, r.T, out=out.imag)
     out *= 0.5
@@ -360,15 +363,16 @@ def _density_of_real(r: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _run_trajectory(
-    state, step, n_steps, time_of, rho, *, pair_count, electric_square, stride=1, tolerances=None,
+    state, step, n_steps, time_of, *, pair_count, electric_square, stride=1, tolerances=None, rho=None,
 ) -> EvolutionRecord:
     """The one record loop behind every engine.
 
-    ``step(state, k)`` advances the real state R (module docstring), a matrix
-    or its row-major vec, to step k <= ``n_steps``.  Step 0, every ``stride``-th
-    and the last step are recorded at ``time_of(k)`` from rho decoded into the
-    complex buffer ``rho``, Hermitian bit for bit (``max_hermiticity_error``
-    0.0); with ``tolerances`` (``trace_tol``, ``psd_tol``) every row but the first is checked.
+    ``step(state, k)`` advances the real dim x dim state R (module docstring)
+    to step k <= ``n_steps``.  Step 0, every ``stride``-th and the last step
+    are recorded at ``time_of(k)`` straight off R (diag rho = diag R and
+    tr rho^2 = sum_ij R_ij^2); only ``min_eig`` decodes rho, into the complex
+    buffer ``rho`` (a new one when None).  With ``tolerances`` (``trace_tol``,
+    ``psd_tol``) every row but the first is checked.
     """
     pairs_diag = _diagonal_of(pair_count, "pair_count")
     e2_diag = _diagonal_of(electric_square, "electric_square")
@@ -378,18 +382,14 @@ def _run_trajectory(
             state = step(state, k)
         if k % stride and k != n_steps:
             continue
-        dm = DensityMatrix(_density_of_real(state.reshape(rho.shape), rho))
-        tr, min_eig = dm.trace, float(np.linalg.eigvalsh(rho)[0])
+        diag = np.diagonal(state)
+        tr = float(np.sum(diag))
+        rho = _density_of_real(state, rho)
+        min_eig = float(np.linalg.eigvalsh(rho)[0])
         if tolerances is not None and k > 0:
             _check_invariants(tr, min_eig, **tolerances)
-        rows.append((
-            time_of(k),
-            float(np.real(np.sum(pairs_diag * np.diagonal(rho)))),
-            float(np.real(np.sum(e2_diag * np.diagonal(rho)))),
-            tr,
-            dm.purity,
-            min_eig,
-        ))
+        rows.append((time_of(k), float(pairs_diag @ diag), float(e2_diag @ diag), tr,
+                     float(np.vdot(state, state)), min_eig))
     return EvolutionRecord(*np.array(rows).T)
 
 
@@ -605,8 +605,8 @@ def rk4_evolve(
         rhs = (_threaded_real_rhs(*operands, pool, rho.view(float)) if threaded
                else _real_rhs(*operands))
         return _run_trajectory(
-            r0, step, n_steps, lambda k: k * dt, rho,
-            pair_count=pair_count, electric_square=electric_square, stride=stride,
+            r0, step, n_steps, lambda k: k * dt,
+            pair_count=pair_count, electric_square=electric_square, stride=stride, rho=rho,
         )
 
 
@@ -639,7 +639,7 @@ def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
     lv = vectorized_liouvillian(hamiltonian, lindblad_op)
     r0 = _real_state_of(rho0)
     r_t = _expm_multiply(lv * t, r0.ravel()).reshape(r0.shape)
-    return DensityMatrix(_density_of_real(r_t, np.empty(r0.shape, dtype=complex)))
+    return DensityMatrix(_density_of_real(r_t))
 
 
 def exact_evolve(
@@ -683,8 +683,8 @@ def exact_evolve(
 
     flow = states()
     return _run_trajectory(
-        r0.ravel(), lambda vec, k: next(flow), len(steps), times.__getitem__,
-        np.empty(r0.shape, dtype=complex), pair_count=pair_count, electric_square=electric_square,
+        r0, lambda r, k: next(flow).reshape(r0.shape), len(steps), times.__getitem__,
+        pair_count=pair_count, electric_square=electric_square,
     )
 
 
@@ -727,7 +727,7 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
         last, change = change, float(np.max(np.abs(nxt - vec)))
         vec = nxt
         if change >= last:
-            return DensityMatrix(_density_of_real(vec.reshape(dim, dim), np.empty((dim, dim), complex)))
+            return DensityMatrix(_density_of_real(vec.reshape(dim, dim)))
     raise RuntimeError(f"steady state not converged after {_STEADY_STATE_SOLVES} solves "
                        f"(last change {change:.3e}): Lv has an eigenvalue too close to 0")
 

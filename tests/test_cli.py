@@ -219,6 +219,11 @@ def test_evolve_exact_method(tmp_path):
         ("--method exact", ["evolve", "--n-sites", "7", "--method", "exact", "-o", "OUT"]),
         ("--method exact", ["compare", "--n-sites", "7", "--method-a", "rk4", "--method-b", "exact",
                             "--t-max", "0.01", "--dt", "0.005", "--out-a", "OUT"]),
+        ("-o/--output", ["evolve", "--n-sites", "2", "--t-max", "0.1", "-o", "OUT.json"]),
+        ("--out-b", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
+                     "--t-max", "0.1", "--dt", "0.01", "--out-a", "OUT", "--out-b", "OUT"]),
+        ("--out-b", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
+                     "--t-max", "0.1", "--dt", "0.01", "--out-a", "OUT", "--out-b", "OUT/../out"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
          "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
@@ -226,12 +231,13 @@ def test_evolve_exact_method(tmp_path):
          "sweep-overflowing-step-count", "unindexable-step-count", "repeated-sites",
          "descending-sites", "negative-max-dev", "unrecordable-step-count",
          "unrecordable-cycle-count", "unenumerable-lattice", "exact-superoperator-too-large",
-         "compare-exact-superoperator-too-large"],
+         "compare-exact-superoperator-too-large", "csv-output-is-its-own-sidecar",
+         "compare-outputs-are-one-file", "compare-outputs-are-one-file-by-two-names"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""
     with pytest.raises(SystemExit) as err:
-        run_cli([str(tmp_path / "out") if a == "OUT" else a for a in argv])
+        run_cli([a.replace("OUT", str(tmp_path / "out")) for a in argv])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -381,6 +387,31 @@ def test_sweep_writes_per_volume_runs_and_summary(tmp_path, capsys):
     n4 = summary["runs"][1]
     assert n4["gibbs_e2_c_even"] == pytest.approx(0.421755, abs=1e-6)
     assert n4["gibbs_e2"] == pytest.approx(0.415796, abs=1e-6)
+
+
+def test_sweep_summary_reports_the_c_even_gaps_and_row_by_row_distances(tmp_path, capsys):
+    # the vacuum runs reach the C-even lines, 0.356475 (N = 2, where C-even is
+    # the whole sector), 0.421755 (N = 4) and 0.430242 (N = 5)
+    assert run_cli(["sweep", "--sites", "2,4,5", "--t-max", "0.5", "--dt", "0.01",
+                    "--stride", "10", "-o", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    c_even = [run["gibbs_e2_c_even"] for run in summary["runs"]]
+    assert summary["thermal_e2_gaps_c_even"] == [abs(c_even[1] - c_even[0]), abs(c_even[2] - c_even[1])]
+    assert summary["thermal_e2_gaps_c_even"] == pytest.approx([0.065281, 0.008486], abs=1e-6)
+    assert summary["thermal_gaps_c_even_decreasing"] is True
+    assert len(summary["thermal_e2_gaps"]) == 2 and "thermal_gaps_decreasing" in summary
+    assert "C-even thermal e2 gaps: 0.065281, 0.008486" in out
+    assert "C-even gaps decreasing: True" in out
+    e2 = [EvolutionRecord.from_csv((tmp_path / run["csv"]).read_text()).e2 for run in summary["runs"]]
+    assert summary["curve_e2_distances"] == [float(np.max(np.abs(a - b))) for a, b in zip(e2, e2[1:])]
+
+
+def test_sweep_of_zero_horizon_omits_the_curve_distances(tmp_path):
+    assert run_cli(["sweep", "--sites", "2,4", "--t-max", "0", "-o", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "curve_e2_distances" not in summary and "curve_distances_decreasing" not in summary
+    assert len(summary["thermal_e2_gaps_c_even"]) == 1
 
 
 def test_sweep_refuses_an_exact_size_before_its_engine_starts(tmp_path, capsys):

@@ -33,7 +33,7 @@ def random_density(rng, dim):
 def cycle(rho, w):
     """One ``dilation_cycle`` on the real state of Hermitian rho, decoded."""
     r = _real_state_of(rho)
-    return _density_of_real(dilation_cycle(r, w), np.empty(r.shape, dtype=complex))
+    return _density_of_real(dilation_cycle(r, w))
 
 
 def traced_dilated_state(rho, w):
@@ -200,7 +200,7 @@ def test_doubling_cycles_converges_monotonically(n2):
         w = cycle_propagator(ops.hamiltonian, lop, t_max / n_cycles)
         for _ in range(n_cycles):
             r = dilation_cycle(r, w)
-        rho = _density_of_real(r, np.empty(r.shape, dtype=complex))
+        rho = _density_of_real(r)
         errors.append(np.max(np.abs(rho - exact)))
     assert all(b < a for a, b in zip(errors, errors[1:]))
 

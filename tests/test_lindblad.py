@@ -219,7 +219,7 @@ def test_rhs_agrees_with_the_vectorized_liouvillian(n2_setup, rng):
     assert lv.dtype == np.float64
     rho = random_density(rng, lop.shape[0])
     r = lindblad._real_state_of(rho)
-    drho = lindblad._density_of_real((lv @ r.ravel()).reshape(r.shape), np.empty_like(rho))
+    drho = lindblad._density_of_real((lv @ r.ravel()).reshape(r.shape))
     assert np.max(np.abs(drho - lindblad_rhs(rho, ops.hamiltonian, lop))) < 1e-12
 
 
@@ -463,10 +463,46 @@ def test_rk4_rejects_a_complex_hamiltonian(n2_setup, engine):
 
 def test_real_state_decodes_to_an_exactly_hermitian_matrix():
     r = np.random.default_rng(17).normal(size=(7, 7))
-    rho = lindblad._density_of_real(r, np.empty(r.shape, dtype=complex))
+    rho = lindblad._density_of_real(r)
     assert np.array_equal(rho, rho.conj().T)
     assert np.array_equal(rho.real, 0.5 * (r + r.T))
     assert np.array_equal(rho.imag, 0.5 * (r - r.T))
+
+
+@pytest.mark.parametrize("engine", ["rk4_evolve", "exact_evolve", "dilation_evolve"])
+def test_records_read_off_r_match_the_density_matrix_diagnostics(engine, monkeypatch):
+    # every row against the DensityMatrix diagnostics of the rho its min_eig
+    # was taken from; the record loop itself builds no DensityMatrix
+    _, _, ops, _, lop = standard_setup(4)
+    rho0 = random_density(np.random.default_rng(3), ops.dim)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    decoded = []
+
+    def keep(r, out=None):
+        rho = decode(r, out)
+        decoded.append(rho.copy())
+        return rho
+
+    class Refused:
+        def __init__(self, matrix):
+            raise AssertionError("DensityMatrix built in the record loop")
+
+    decode = lindblad._density_of_real
+    monkeypatch.setattr(lindblad, "_density_of_real", keep)
+    monkeypatch.setattr(lindblad, "DensityMatrix", Refused)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    rec = {"rk4_evolve": lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.5, 0.01, stride=10, **kw),
+           "exact_evolve": lambda: exact_evolve(rho0, ops.hamiltonian, lop, np.linspace(0, 0.5, 6), **kw),
+           "dilation_evolve": lambda: dilation_evolve(rho0, ops.hamiltonian, lop, 0.5, 5, **kw)}[engine]()
+    monkeypatch.undo()
+    assert len(decoded) == len(rec) == 6
+    for k, rho in enumerate(decoded):
+        dm = DensityMatrix(rho)
+        assert rec.trace[k] == pytest.approx(dm.trace, abs=1e-14)
+        assert rec.purity[k] == pytest.approx(dm.purity, abs=1e-14)
+        assert rec.n_pairs[k] == pytest.approx(expectation(dm, ops.pair_count), abs=1e-14)
+        assert rec.e2[k] == pytest.approx(expectation(dm, ops.electric_square), abs=1e-14)
+        assert rec.min_eig[k] == np.linalg.eigvalsh(rho)[0]
 
 
 @pytest.mark.parametrize("n_sites, sparse", [(4, False), (6, True)])
@@ -480,7 +516,7 @@ def test_both_operand_branches_compute_the_lindblad_generator(n_sites, sparse):
     for _ in range(3):
         rho = random_density(rng, ops.dim)
         r = rho.real + rho.imag
-        drho = lindblad._density_of_real(rhs(r, np.empty_like(r)), np.empty_like(rho))
+        drho = lindblad._density_of_real(rhs(r, np.empty_like(r)))
         assert np.max(np.abs(drho - lindblad_rhs(rho, ops.hamiltonian, lop))) < 1e-13
 
 
