@@ -208,6 +208,26 @@ def _sidecar_path(out: Path) -> Path:
     return out.with_suffix(".json") if out.suffix else out.with_name(out.name + ".json")
 
 
+def _check_outputs(outputs: dict) -> None:
+    """Refuse, before any setup and without creating anything, the files a
+    command would write (``{flag: [paths]}``, where the None of an unset flag
+    is skipped) when two resolve to one file, one is an existing directory, or
+    the nearest existing ancestor of one is not a directory."""
+    owner = {}
+    for flag, paths in outputs.items():
+        for path in filter(None, paths):
+            real = Path(path).resolve()
+            if real in owner:
+                also = "" if owner[real] == flag else f" (also for {owner[real]})"
+                raise _UsageError(f"{flag}: {path} would be written twice{also}")
+            owner[real] = flag
+            if real.is_dir():
+                raise _UsageError(f"{flag}: {path} is an existing directory")
+            ancestor = next(a for a in real.parents if a.exists())
+            if not ancestor.is_dir():
+                raise _UsageError(f"{flag}: {path} cannot be created, {ancestor} is not a directory")
+
+
 def _config_dict(args, method, spec, bath) -> dict:
     cfg = {
         "n_sites": spec.n_sites,
@@ -272,16 +292,13 @@ def _run_and_write(args, out: Path):
 
 
 def _align_records(rec_a: EvolutionRecord, rec_b: EvolutionRecord, tol: float = 1e-9):
-    """Indices of time points the two records share (within tolerance)."""
-    ia, ib = [], []
-    jb = 0
-    for ja, t in enumerate(rec_a.times):
-        while jb < len(rec_b.times) and rec_b.times[jb] < t - tol:
-            jb += 1
-        if jb < len(rec_b.times) and abs(rec_b.times[jb] - t) <= tol:
-            ia.append(ja)
-            ib.append(jb)
-    return np.array(ia, dtype=int), np.array(ib, dtype=int)
+    """Indices of time points the two records share: each time of ``rec_a``
+    and the first of ``rec_b`` not below it by ``tol``, if within ``tol``."""
+    ta, tb = rec_a.times, rec_b.times
+    ib = np.searchsorted(tb, ta - tol)
+    ia = np.flatnonzero(ib < len(tb))
+    ia = ia[np.abs(tb[ib[ia]] - ta[ia]) <= tol]
+    return ia, ib[ia]
 
 
 # ---------------------------------------------------------------------------
@@ -318,28 +335,24 @@ def cmd_states(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    _, _, ops = _operators_from(args)
     out = Path(args.output)
+    names = ("pairs", "electric", "condensate") if args.observables else ()
+    paths = [Path(f"{out.with_suffix('')}_{name}.json") for name in names]
+    _check_outputs({"-o/--output": [out], "--observables": paths})
+    _, _, ops = _operators_from(args)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(matrix_to_json(ops.hamiltonian.matrix, ops.hamiltonian.basis_tag))
     print(f"wrote {out} (dim {ops.hamiltonian.dim}, basis {ops.hamiltonian.basis_tag})")
-    if args.observables:
-        stem = out.with_suffix("")
-        for name, op in (
-            ("pairs", ops.pair_count),
-            ("electric", ops.electric_square),
-            ("condensate", ops.condensate),
-        ):
-            path = Path(f"{stem}_{name}.json")
-            path.write_text(matrix_to_json(op.matrix, op.basis_tag))
-            print(f"wrote {path}")
+    for path, op in zip(paths, (ops.pair_count, ops.electric_square, ops.condensate)):
+        path.write_text(matrix_to_json(op.matrix, op.basis_tag))
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_evolve(args) -> int:
     out = Path(args.output)
-    if _sidecar_path(out) == out:
-        raise _UsageError(f"-o/--output {out}: a .json CSV would be overwritten by its JSON sidecar")
+    unitaries = [Path(f"{args.dump_unitaries}_{u}.json") for u in ("uj", "uh")] if args.dump_unitaries else []
+    _check_outputs({"-o/--output": [out, _sidecar_path(out)], "--dump-unitaries": unitaries})
     _check_run_args(args, {args.method})
     if args.dump_unitaries and args.method != "dilation":
         raise _UsageError("--dump-unitaries only applies to the dilation method")
@@ -352,17 +365,17 @@ def cmd_evolve(args) -> int:
         dt_cycle = args.t_max / args.n_cycles
         j_op = build_dilation_hamiltonian(lop)
         tag = ops.hamiltonian.basis_tag
-        prefix = Path(args.dump_unitaries)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+        unitaries[0].parent.mkdir(parents=True, exist_ok=True)
         uj = unitary_from_hamiltonian(j_op, np.sqrt(dt_cycle))
         uh = unitary_from_hamiltonian(ops.hamiltonian.matrix, dt_cycle)
-        Path(f"{prefix}_uj.json").write_text(matrix_to_json(uj, f"{tag}+ancilla"))
-        Path(f"{prefix}_uh.json").write_text(matrix_to_json(uh, tag))
-        print(f"wrote {prefix}_uj.json and {prefix}_uh.json (cycle dt {dt_cycle:g})")
+        unitaries[0].write_text(matrix_to_json(uj, f"{tag}+ancilla"))
+        unitaries[1].write_text(matrix_to_json(uh, tag))
+        print(f"wrote {unitaries[0]} and {unitaries[1]} (cycle dt {dt_cycle:g})")
     return 0
 
 
 def cmd_gibbs(args) -> int:
+    _check_outputs({"-o/--output": [args.output]})
     bath = _bath_from(args)
     _, _, ops = _operators_from(args)
     ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
@@ -377,8 +390,7 @@ def cmd_gibbs(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.out_a and args.out_b and Path(args.out_a).resolve() == Path(args.out_b).resolve():
-        raise _UsageError(f"--out-b {args.out_b}: the same file as --out-a, which it would overwrite")
+    _check_outputs({"--out-a": [args.out_a], "--out-b": [args.out_b]})
     _check_run_args(args, {args.method_a, args.method_b})
     if args.max_dev is not None and args.max_dev < 0:
         raise _UsageError(f"--max-dev must be >= 0, got {args.max_dev}")
@@ -421,14 +433,15 @@ def cmd_sweep(args) -> int:
     tail_frac = args.tail_frac
     if not 0.0 < tail_frac < 1.0:
         raise _UsageError(f"--tail-frac must be in (0, 1), got {tail_frac}")
-    _check_run_args(args, {args.method})
     out_dir = Path(args.output_dir)
+    csvs = [out_dir / f"evolve_N{n}.csv" for n in sites]
+    _check_outputs({"-o/--output-dir": [*csvs, *map(_sidecar_path, csvs), out_dir / "summary.json"]})
+    _check_run_args(args, {args.method})
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"method": args.method, "t_max": args.t_max, "tail_frac": tail_frac, "runs": []}
     records = []
-    for n in sites:
+    for n, out in zip(sites, csvs):
         sub = argparse.Namespace(**vars(args), n_sites=n)
-        out = out_dir / f"evolve_N{n}.csv"
         ops, _, record, gibbs, elapsed = _run_and_write(sub, out)
         tail = record.times >= record.times[-1] * (1.0 - tail_frac)
         eq_e2 = float(np.mean(record.e2[tail]))

@@ -74,24 +74,31 @@ def cycle_propagator(hamiltonian, lindblad_op, dt: float) -> np.ndarray:
     return w
 
 
+def _real_layout(w: np.ndarray) -> np.ndarray:
+    """W = P - iQ as ``dilation_cycle`` uses it: a (3, 2d, 2d) real array of
+    V (row 2j + k is row j of V_k = [P_k, Q_k]) and room for M and V M."""
+    dim = w.shape[1]
+    out = np.empty((3, 2 * dim, 2 * dim))
+    v = out[0].reshape(dim, 2, 2 * dim)
+    v[..., :dim] = w.real.reshape(2, dim, dim).swapaxes(0, 1)
+    np.negative(w.imag.reshape(2, dim, dim).swapaxes(0, 1), out=v[..., dim:])
+    return out
+
+
 def dilation_cycle(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One precomputed cycle W on the real state R: R' = sum_k V_k M V_k^T with
     V_k = [P_k, Q_k] and M = [[R, R^T], [-R^T, R]], 12 d^3 real multiply-adds.
 
-    Row j of v is row j of [V_0, V_1], so row 2j + k of v.reshape(2d, 2d) is
-    row j of V_k and the sum over k is one product of (V M).reshape(d, 4d) and
-    v^T.  v and M are filled in place: built by ``np.hstack`` and ``np.block``,
-    whose temporaries went back to the OS, a cycle at N = 6 mostly faulted
-    140-210 pages back in and took 1.1-1.5 ms instead of 0.75-0.95 ms."""
+    ``w`` is W or its ``_real_layout``, which ``dilation_evolve`` makes once so
+    that no cycle allocates M or V M (made per cycle, they went back to the OS
+    in some processes and faulted in again).  The sum over k is one product of
+    (V M).reshape(d, 4d) and V.reshape(d, 4d)^T."""
     dim = r.shape[0]
-    v = np.empty((dim, 2, 2 * dim))
-    v[..., :dim] = w.real.reshape(2, dim, dim).swapaxes(0, 1)
-    np.negative(w.imag.reshape(2, dim, dim).swapaxes(0, 1), out=v[..., dim:])
-    m = np.empty((2 * dim, 2 * dim))
+    v, m, vm = w if w.ndim == 3 else _real_layout(w)
     m[:dim, :dim] = m[dim:, dim:] = r
     m[:dim, dim:] = r.T
     np.negative(r.T, out=m[dim:, :dim])
-    vm = v.reshape(2 * dim, 2 * dim) @ m
+    np.matmul(v, m, out=vm)
     return vm.reshape(dim, 4 * dim) @ v.reshape(dim, 4 * dim).T
 
 
@@ -118,7 +125,7 @@ def dilation_evolve(
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     r0 = _real_state_of(rho0)
     dt = t_max / n_cycles
-    w = cycle_propagator(hamiltonian, lindblad_op, dt)
+    w = _real_layout(cycle_propagator(hamiltonian, lindblad_op, dt))
     return _run_trajectory(
         r0, lambda r, k: dilation_cycle(r, w), n_cycles, lambda k: k * dt,
         pair_count=pair_count, electric_square=electric_square, tolerances=CYCLE_TOLERANCES,

@@ -742,14 +742,15 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     and ``c_even``, the same of the C-even block's, which holds the vacuum.
 
     With P = ``hamiltonian.conjugation`` (the identity for an operator without
-    one, or a plain array) the states are ordered as P's fixed points f, then
-    the first member a of each pair, then its partner b.  The C-even block on
-    the f and (a + b)/sqrt 2 states has couplings sqrt 2 H_fa and the block
-    H_aa + H_ab; the C-odd block on the (a - b)/sqrt 2 states is H_aa - H_ab.
-    P must commute with H exactly, checked on the permuted blocks (ValueError
-    otherwise).  Each block is diagonalized on its own (476 and 324 states
-    instead of 800 at N = 8), with the Boltzmann weights shifted by the lower
-    of the two ground energies.
+    one, or a plain array) the blocks are gathered from H by three index sets:
+    P's fixed points f, the first member a of each swapped pair and its
+    partner b = P[a].  The C-even block on the f and (a + b)/sqrt 2 states is
+    [[H_ff, sqrt 2 H_fa], [sqrt 2 H_af, H_aa + H_ab]]; the C-odd block on the
+    (a - b)/sqrt 2 states is H_aa - H_ab.  P must commute with H exactly,
+    checked as H_fa = H_fb, H_af = H_bf, H_aa = H_bb and H_ab = H_ba
+    (ValueError otherwise).  Each block is diagonalized on its own (476 and
+    324 states instead of 800 at N = 8), with the Boltzmann weights shifted by
+    the lower of the two ground energies.
 
     Both observables must be diagonal in the sector basis (ValueError
     otherwise), so only the diagonal of each block's Gibbs state,
@@ -763,23 +764,20 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     states = np.arange(len(h))
     p = getattr(hamiltonian, "conjugation", None)
     p = states if p is None else p
-    fixed, first = np.flatnonzero(p == states), np.flatnonzero(p > states)
-    order = np.concatenate([fixed, first, p[first]])
-    hp = h.take(order, axis=0).take(order, axis=1)
-    f, n = len(fixed), len(first)
-    top, mid, low = hp[:f], hp[f:f + n], hp[f + n:]
-    if not (np.array_equal(top[:, f:f + n], top[:, f + n:]) and np.array_equal(mid[:, :f], low[:, :f])
-            and np.array_equal(mid[:, f:f + n], low[:, f + n:])
-            and np.array_equal(mid[:, f + n:], low[:, f:f + n])):
+    f, a = np.flatnonzero(p == states), np.flatnonzero(p > states)
+    b = p[a]
+
+    def block(rows, cols):
+        return h[np.ix_(rows, cols)]
+
+    h_fa, h_aa, h_ab = block(f, a), block(a, a), block(a, b)
+    if not (np.array_equal(h_fa, block(f, b)) and np.array_equal(block(a, f), block(b, f))
+            and np.array_equal(h_aa, block(b, b)) and np.array_equal(h_ab, block(b, a))):
         raise ValueError("the Hamiltonian does not commute with its conjugation")
-    odd = mid[:, f:f + n] - mid[:, f + n:]
-    even = hp[:f + n, :f + n]  # a view, changed in place once the odd block is formed
-    even[f:, f:] += mid[:, f + n:]
-    even[:f, f:] *= np.sqrt(2.0)
-    even[f:, :f] *= np.sqrt(2.0)
+    even = np.block([[block(f, f), np.sqrt(2.0) * h_fa], [np.sqrt(2.0) * block(a, f), h_aa + h_ab]])
     evals_even, vecs_even = np.linalg.eigh(even)
-    evals_odd, vecs_odd = np.linalg.eigh(odd)
-    ground = min(evals_even[0], evals_odd[0]) if n else evals_even[0]
+    evals_odd, vecs_odd = np.linalg.eigh(h_aa - h_ab)
+    ground = min(evals_even[0], evals_odd[0]) if len(a) else evals_even[0]
     w_even = np.exp(-beta * (evals_even - ground))
     w_odd = np.exp(-beta * (evals_odd - ground))
     # unnormalized diagonals of the two blocks' Gibbs states
@@ -789,9 +787,9 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     z = z_even + w_odd.sum()
 
     def means(op, name):
-        d = _diagonal_of(op, name)[order]
-        pair = 0.5 * (d[f:f + n] + d[f + n:])
-        in_even = occ_even @ np.concatenate([d[:f], pair])
+        d = _diagonal_of(op, name)
+        pair = 0.5 * (d[a] + d[b])
+        in_even = occ_even @ np.concatenate([d[f], pair])
         return float((in_even + occ_odd @ pair) / z), float(in_even / z_even)
 
     n_pairs, n_pairs_even = means(pair_count, "pair_count")

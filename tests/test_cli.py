@@ -224,6 +224,8 @@ def test_evolve_exact_method(tmp_path):
                      "--t-max", "0.1", "--dt", "0.01", "--out-a", "OUT", "--out-b", "OUT"]),
         ("--out-b", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
                      "--t-max", "0.1", "--dt", "0.01", "--out-a", "OUT", "--out-b", "OUT/../out"]),
+        ("--dump-unitaries", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "0.1",
+                              "--n-cycles", "2", "--dump-unitaries", "OUT/gates", "-o", "OUT/gates_uj.csv"]),
     ],
     ids=["dt-zero", "no-cycles", "misaligned-grid", "misaligned-fine-grid", "negative-horizon",
          "exact-zero-horizon", "stride-zero", "no-sites", "evolve-zero-spacing",
@@ -232,7 +234,8 @@ def test_evolve_exact_method(tmp_path):
          "descending-sites", "negative-max-dev", "unrecordable-step-count",
          "unrecordable-cycle-count", "unenumerable-lattice", "exact-superoperator-too-large",
          "compare-exact-superoperator-too-large", "csv-output-is-its-own-sidecar",
-         "compare-outputs-are-one-file", "compare-outputs-are-one-file-by-two-names"],
+         "compare-outputs-are-one-file", "compare-outputs-are-one-file-by-two-names",
+         "unitary-dump-is-the-sidecar"],
 )
 def test_bad_run_arguments_are_usage_errors(flag, argv, tmp_path, capsys):
     """Rejected before any setup: exit 2, the flag named, nothing written."""
@@ -271,6 +274,36 @@ def test_non_finite_float_options_are_usage_errors(flag, argv, tmp_path, capsys)
     assert err.value.code == 2
     assert f"argument {flag}: must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("-o/--output", ["evolve", "--n-sites", "2", "--t-max", "0.1", "-o", "FILE/x.csv"]),
+        ("-o/--output", ["evolve", "--n-sites", "2", "--t-max", "0.1", "-o", "DIR"]),
+        ("--dump-unitaries", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "0.1",
+                              "--n-cycles", "2", "--dump-unitaries", "FILE/gates", "-o", "DIR/x.csv"]),
+        ("-o/--output-dir", ["sweep", "--sites", "2", "--t-max", "0.1", "-o", "FILE"]),
+        ("--out-a", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
+                     "--t-max", "0.1", "--dt", "0.01", "--out-a", "DIR"]),
+        ("-o/--output", ["gibbs", "--n-sites", "2", "-o", "DIR"]),
+        ("--observables", ["hamiltonian", "--n-sites", "2", "--observables", "-o", "DIR/h_pairs"]),
+    ],
+    ids=["evolve-under-a-file", "evolve-onto-a-directory", "dump-under-a-file", "sweep-into-a-file",
+         "compare-onto-a-directory", "gibbs-onto-a-directory", "observable-onto-a-directory"],
+)
+def test_outputs_that_cannot_be_written_are_usage_errors(flag, argv, tmp_path, capsys):
+    """A file where a directory must be, or a directory where a file must be,
+    is refused before any setup: exit 2, the flag named, nothing created."""
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "dir" / "h_pairs_pairs.json").mkdir(parents=True)
+    with pytest.raises(SystemExit) as err:
+        run_cli([a.replace("FILE", str(tmp_path / "file")).replace("DIR", str(tmp_path / "dir"))
+                 for a in argv])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file", "h_pairs_pairs.json"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_evolve_dilation_dumps_unitaries(tmp_path):

@@ -976,6 +976,20 @@ def test_gibbs_reference_refuses_a_conjugation_that_does_not_commute(n2_setup):
         gibbs_reference(h, bath.beta, ops.pair_count, ops.electric_square)
 
 
+@pytest.mark.parametrize("row, col", [(0, 4), (4, 0), (5, 5), (4, 5)],
+                         ids=["H_fa=H_fb", "H_af=H_bf", "H_aa=H_bb", "H_ab=H_ba"])
+def test_gibbs_reference_refuses_each_broken_commutation_relation(row, col):
+    # at N = 4, P fixes states 0-3 and swaps 4 and 5; moving one entry of H by
+    # 1e-13, within the Hermiticity tolerance, breaks one relation alone
+    _, sector, ops, bath, _ = standard_setup(4)
+    assert list(sector.conjugation[:6]) == [0, 1, 2, 3, 5, 4]
+    h = ops.hamiltonian.matrix.copy()
+    h[row, col] += 1e-13
+    with pytest.raises(ValueError, match="commute"):
+        gibbs_reference(HermitianOperator(h, "test", sector.conjugation), bath.beta,
+                        ops.pair_count, ops.electric_square)
+
+
 @pytest.mark.parametrize("n_sites", [4, 5])
 def test_the_vacuums_long_time_limit_is_the_c_even_gibbs_state(n_sites):
     # the vacuum is C-even and the flow never leaves that block, so the late
