@@ -32,7 +32,9 @@ from .lindblad import (
     BathParams,
     DensityMatrix,
     EvolutionRecord,
-    _liouvillian_terms,
+    _block_generators,
+    _diagonal_of,
+    _engine_basis,
     _step_count,
     build_lindblad_operator,
     exact_evolve,
@@ -171,21 +173,30 @@ def _bath_from(args) -> BathParams:
 
 
 def _build_setup(args, methods: set):
-    """(spec, bath, ops, lop) for the dynamical subcommands; a sector too large for ``methods`` is a usage error."""
+    """(spec, bath, ops, lop) for the dynamical subcommands; a sector too large for ``methods`` is a usage error.
+
+    The exact engine's size check is its own: the generator of every C block
+    the vacuum is stepped in must fit ``LIOUVILLIAN_MAX_BYTES``."""
     bath = _bath_from(args)
     spec, params, ops = _operators_from(args)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
     if "exact" in methods:
+        diagonals = _diagonal_of(ops.pair_count, "pair_count"), _diagonal_of(ops.electric_square, "electric_square")
         try:
-            _liouvillian_terms(ops.hamiltonian, lop)
+            _block_generators(_engine_basis(ops.hamiltonian, lop, _vacuum(ops), diagonals), ops.hamiltonian, lop)
         except ValueError as exc:
             raise _UsageError(f"--method exact at N = {spec.n_sites}: {exc}") from None
     return spec, bath, ops, lop
 
 
+def _vacuum(ops) -> DensityMatrix:
+    """The projected bare vacuum, where every run starts."""
+    return DensityMatrix.pure_state(ops.hamiltonian.dim, 0)
+
+
 def _run_method(args, method, ops, lop):
     """Dispatch one evolution run; every path records the same observables."""
-    rho0 = DensityMatrix.pure_state(ops.hamiltonian.dim, 0)  # projected bare vacuum
+    rho0 = _vacuum(ops)
     if method == "rk4":
         return rk4_evolve(
             rho0, ops.hamiltonian, lop, args.t_max, args.dt,
@@ -253,8 +264,8 @@ def _config_dict(args, method, spec, bath) -> dict:
 def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict, elapsed: float) -> None:
     """The CSV of ``record`` and its JSON sidecar: the run's config, the Gibbs
     reference (full sector and C-even block), the worst invariant values over
-    all rows, the last row's distance from both Gibbs lines and the engine's
-    wall time."""
+    all rows, the last row's distance from both Gibbs lines, the engine's
+    counters (``EvolutionRecord.counters``) and its wall time."""
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(record.to_csv())
     sidecar = {
@@ -274,6 +285,7 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
                 "n_pairs": float(record.n_pairs[-1] - gibbs["c_even"]["n_pairs"]),
             },
         },
+        "counters": record.counters,
         "wall_time_s": elapsed,
     }
     _sidecar_path(out).write_text(json.dumps(sidecar, indent=1))

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import EvolutionRecord, _matrix_of, _real_state_of, _run_trajectory
+from .lindblad import (
+    EvolutionRecord, _diagonal_of, _engine_basis, _matrix_of, _real_state_of, _run_trajectory, _states_of,
+)
 
 __all__ = [
     "build_dilation_hamiltonian",
@@ -114,7 +116,9 @@ def dilation_evolve(
 ) -> EvolutionRecord:
     """Run n_cycles dilation cycles of length t_max / n_cycles on the real
     state R of rho0 (refused with ValueError unless Hermitian to 1e-10, see
-    ``_real_state_of``).  Every cycle is checked against ``CYCLE_TOLERANCES``
+    ``_real_state_of``), one R and one cycle per stepped part of the C basis
+    (``lindblad._engine_basis``): W is built from H and L, which are
+    block-diagonal there.  Every cycle is checked against ``CYCLE_TOLERANCES``
     (trace to 1e-12, positivity to 1e-10), and the returned record samples
     every cycle boundary including t=0.  A t_max that is not finite and
     positive is refused with ValueError before any setup.
@@ -123,10 +127,14 @@ def dilation_evolve(
         raise ValueError(f"need at least one cycle, got {n_cycles}")
     if not (np.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
+    c = _engine_basis(hamiltonian, lindblad_op, rho0, diagonals)
     r0 = _real_state_of(rho0)
     dt = t_max / n_cycles
-    w = _real_layout(cycle_propagator(hamiltonian, lindblad_op, dt))
+    h, lop = _matrix_of(hamiltonian), _matrix_of(lindblad_op)
+    ws = [_real_layout(cycle_propagator(c.part(h, part), c.part(lop, part), dt)) for part in c.parts]
     return _run_trajectory(
-        r0, lambda r, k: dilation_cycle(r, w), n_cycles, lambda k: k * dt,
-        pair_count=pair_count, electric_square=electric_square, tolerances=CYCLE_TOLERANCES,
+        c, _states_of(c, r0), lambda rs, k: [dilation_cycle(r, w) for r, w in zip(rs, ws)],
+        n_cycles, lambda k: k * dt, diagonals=diagonals, tolerances=CYCLE_TOLERANCES,
+        counters={"steps": n_cycles, "cycles": n_cycles * len(c.parts)},
     )

@@ -15,23 +15,27 @@ expansion is dropped.  D is a dimensionless coupling strength and T = 1/beta
 the bath temperature.
 
 Three ways to evolve, each a step closure run by one trajectory driver; the
-recorded observables must be diagonal in the sector basis:
+recorded observables must be diagonal in the sector basis.  Every engine runs
+in the charge-conjugation (C) basis of ``_CBasis`` when H, L and both
+observables commute with the conjugation P that H carries, and steps a rho0
+that commutes with P block by block, skipping a block that is exactly zero:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
                       matrix products per right-hand side, sparse (CSR) when H
                       and L are and run on two threads from dim 200 on (N = 7),
                       and no Hermitian projection
 * ``exact_evolve``    action of the exponential of the vectorized generator,
-                      a sparse dim^2 x dim^2 matrix, on vec(R0): the
-                      truncated sectors up to N = 6 (``steady_state``, power
-                      iteration on one sparse LU of it, up to N = 5)
+                      a sparse d^2 x d^2 matrix per block, on vec(R0): the
+                      truncated sectors up to N = 6, and the vacuum's block at
+                      N = 7 (``steady_state``, power iteration on one sparse LU
+                      per block, up to N = 5)
 * the Stinespring dilation circuit lives in :mod:`openschwinger.dilation`
 
-All three hold a Hermitian rho0 as one real matrix R = Re rho + Im rho;
-rho = (R + R^T)/2 + i (R - R^T)/2 is Hermitian bit for bit, so no record needs
-a Hermitian projection.  RK4 and the exact engine (with ``exact_propagate``
-and ``steady_state``) need real H and L; the dilation cycle, which mirrors the
-quantum device, maps R to R for complex ones too.
+All three hold a Hermitian rho0 as real matrices R = Re rho + Im rho, one per
+stepped block; rho = (R + R^T)/2 + i (R - R^T)/2 is Hermitian bit for bit, so
+no record needs a Hermitian projection.  RK4 and the exact engine (with
+``exact_propagate`` and ``steady_state``) need real H and L; the dilation
+cycle, which mirrors the quantum device, maps R to R for complex ones too.
 
 Vectorization uses row-major (C-order) stacking, matching ``ndarray.reshape``:
 vec(A X B) = (A kron B^T) vec(X).  With G = L^T L and S the transposition,
@@ -43,9 +47,10 @@ S vec(R) = vec(R^T), the real generator on vec(R) is
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # scipy.sparse.linalg (expm_multiply, splu) is left to SciPy's lazy
@@ -83,27 +88,38 @@ TRACE_ABORT_TOL = 1e-6
 # (dim 4 to 41) and CSR from 0.06 on (N = 6, dim 109: 2.1 -> 1.3 ms).
 RK4_SPARSE_BELOW = 0.1
 
-# From this sector dimension on, and when the process may run on more than one
-# CPU, the CSR right-hand side runs on two threads (``_threaded_real_rhs``).
-# Per right-hand side on two cores: 43-46 -> 24-26 ms at N = 8 (dim 800) and
-# 3.4-3.6 -> 2.0-3.3 ms at N = 7 (dim 284); at N = 6 (dim 109) the hand-offs
-# cost more than they save (0.36-0.44 -> 0.68-0.84 ms).
+# From this dimension of a stepped block on, and when the process may run on
+# more than one CPU, the CSR right-hand side runs on two threads
+# (``_threaded_real_rhs``).  Per RK4 step on two cores, four runs each side
+# (20 steps at N = 8, 100 at N = 7, two records each): 96-155 -> 72-91 ms for
+# the whole C basis at N = 8 (dim 800), 42-48 -> 27-31 ms for the N = 8
+# vacuum's C-even block (476), 7.1-9.9 -> 6.5-8.1 ms at N = 7 (284), and no
+# clear difference for the N = 7 vacuum's block (186: 3.0-4.2 against
+# 2.7-4.3 ms).  Below, the hand-offs cost more than they save: per right-hand
+# side 0.12-0.18 -> 0.23-0.26 ms at 78 (N = 6, C-even) and 0.17 -> 0.23 ms at
+# 109 (N = 6).
 RK4_THREADS_FROM_DIM = 200
 
-# Largest CSR generator that ``vectorized_liouvillian`` builds, checked
-# against the bound on its nonzeros before anything is assembled.  Assembly
-# peaks near three times the result and ``expm_multiply`` holds one shifted
-# copy besides it (peak RSS measured at dim 109: +37 MB to build the 12.3 MiB
-# generator, +74 MB for ``exact_evolve`` over 201 points).  64 MiB admits the
-# truncated sectors up to N = 6 (dim 109, bound 13.7 MiB) and refuses N = 7
-# (dim 284, bound 139 MiB; a probe with the complex generator took 817 s to
-# reach t = 10 there).
+# Largest CSR generator that ``vectorized_liouvillian`` builds, checked for
+# every stepped block against the bound on its nonzeros before any block is
+# assembled.  Assembly peaks near three times the result and
+# ``expm_multiply`` holds one shifted copy besides it (peak RSS measured at
+# dim 109: +37 MB to build the 12.3 MiB generator, +74 MB for
+# ``exact_evolve`` over 201 points).  64 MiB admits the truncated sectors up
+# to N = 6 (dim 109, bound 13.7 MiB) and, at N = 7, the vacuum's C-even block
+# (186 states, bound 45.6 MiB); it refuses an N = 7 state that spans both
+# blocks (dim 284, bound 98 MiB on the whole C basis and 139 MiB in the
+# sector basis; a probe with the complex generator took 817 s to reach t = 10
+# there) and the N = 8 vacuum's block (476, bound 403 MiB).
 LIOUVILLIAN_MAX_BYTES = 64 * 2**20
 
-# Largest generator order dim^2 for which ``steady_state`` factorizes
-# mu I - Lv.  At N = 5 (order 1681) the sparse LU takes 0.2 s with 1.3 M
-# nonzeros of fill; at N = 6 (order 11881) it took 66 s with 71 M nonzeros
-# and a 1.6 GB peak RSS, so 4096 (dim <= 64) stops at N = 5.
+# Largest generator order d^2 of a block for which ``steady_state``
+# factorizes mu I - Lv.  At N = 5 the two C blocks (34 and 7 states) take
+# 0.06-0.07 s with 532 373 + 1 174 nonzeros of fill, against 0.15-0.17 s and
+# 1.28 M for the whole sector (order 1681); at N = 6 the whole sector (order
+# 11881) took 66 s with 71 M nonzeros and a 1.6 GB peak RSS, and its C-even
+# block (78 states, order 6084) is still refused: 4096 (d <= 64) stops at
+# N = 5.
 STEADY_STATE_MAX_ORDER = 4096
 
 # ``steady_state`` gives up after this many solves (5-11 at N = 2-5, D = 0.01-10, beta = 0.01-1)
@@ -221,6 +237,9 @@ class EvolutionRecord:
     purity: np.ndarray
     min_eig: np.ndarray
     max_hermiticity_error: float = 0.0
+    # what the engine did: steps, evaluations, records, whether the two-thread
+    # path ran and the sizes of the stepped blocks (``_run_trajectory``)
+    counters: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.times)
@@ -291,14 +310,21 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
     )
 
 
+def _real_csr(op, name: str):
+    """A CSR matrix as it is; an operator or array as CSR, which must be real
+    (ValueError otherwise)."""
+    return op if scipy.sparse.issparse(op) else scipy.sparse.csr_array(_real_matrix_of(op, name))
+
+
 def _liouvillian_terms(hamiltonian, lindblad_op) -> tuple:
     """H, L and L^T L / 2 as CSR matrices, for a generator known to fit: its
     size is bounded by 2 dim nnz(H) + nnz(L)^2 + 2 dim nnz(L^T L) entries of
     12 B (a float64 value and an int32 column index) plus the row pointers, and
     a bound above ``LIOUVILLIAN_MAX_BYTES`` raises ValueError before any kron
-    product is formed.  H and L must be real (ValueError otherwise)."""
-    h = scipy.sparse.csr_array(_real_matrix_of(hamiltonian, "hamiltonian"))
-    lop = scipy.sparse.csr_array(_real_matrix_of(lindblad_op, "lindblad_op"))
+    product is formed.  H and L may be CSR matrices; otherwise they must be
+    real (ValueError otherwise)."""
+    h = _real_csr(hamiltonian, "hamiltonian")
+    lop = _real_csr(lindblad_op, "lindblad_op")
     half_g = 0.5 * (lop.T @ lop)
     dim = h.shape[0]
     nnz = 2 * dim * h.nnz + lop.nnz**2 + 2 * dim * half_g.nnz
@@ -313,7 +339,8 @@ def _liouvillian_terms(hamiltonian, lindblad_op) -> tuple:
 
 def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
     """The real generator on row-major vec(R) (see module docstring), a
-    dim^2 x dim^2 CSR matrix, of the terms ``_liouvillian_terms`` admits."""
+    dim^2 x dim^2 CSR matrix, of the terms ``_liouvillian_terms`` admits
+    (arrays, operators or CSR matrices)."""
     h, lop, half_g = _liouvillian_terms(hamiltonian, lindblad_op)
     dim = h.shape[0]
     kron = scipy.sparse.kron
@@ -322,6 +349,130 @@ def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
     transposed = np.arange(dim * dim).reshape(dim, dim).T.ravel()
     commutator = (kron(ident, h, format="csr") - kron(h, ident, format="csr"))[:, transposed]
     return (commutator + kron(lop, lop) - kron(half_g, ident) - kron(ident, half_g)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# charge-conjugation blocks
+# ---------------------------------------------------------------------------
+
+class _CBasis:
+    """The charge-conjugation basis of an involution P of the sector states
+    (``HermitianOperator.conjugation``; None for the identity).
+
+    Its states are P's fixed points f, then (a + b)/sqrt 2 and then
+    (a - b)/sqrt 2 for the first member a of each swapped pair and its partner
+    b = P[a]: the first ``n_even`` span the C-even block (``blocks[0]``), the
+    rest the C-odd one.  They are the rows of the real orthogonal matrix T.
+    ``part`` maps a sector matrix X that commutes with P exactly
+    (``commutes``) to the blocks of T X T^T, which it gathers from X; ``to_c``
+    maps any X to the whole of T X T^T, and ``to_sector`` maps back.  A
+    P-symmetric diagonal reads ``d[order]`` in the C basis.  Without pairs T
+    is the identity and the maps return X as it is.
+
+    ``parts`` and ``skipped`` say where an engine steps its state
+    (``_engine_basis``): by default every nonempty block, none skipped.
+    """
+
+    def __init__(self, p, dim: int):
+        states = np.arange(dim)
+        self.p = states if p is None else np.asarray(p)
+        self.f, self.a = np.flatnonzero(self.p == states), np.flatnonzero(self.p > states)
+        self.b = self.p[self.a]
+        self.order = np.concatenate([self.f, self.a, self.b])
+        self.n_even = len(self.f) + len(self.a)
+        self.identity = self.n_even == dim
+        self.blocks = (slice(0, self.n_even), slice(self.n_even, dim))
+        self.parts = [part for part in self.blocks if part.stop > part.start]
+        self.skipped = False
+
+    @functools.cached_property
+    def t(self) -> scipy.sparse.csr_array:
+        nf, na = len(self.f), len(self.a)
+        even, odd = nf + np.arange(na), self.n_even + np.arange(na)
+        half = np.full(na, np.sqrt(0.5))
+        rows = np.concatenate([np.arange(nf), even, even, odd, odd])
+        cols = np.concatenate([self.f, self.a, self.b, self.a, self.b])
+        data = np.concatenate([np.ones(nf), half, half, half, -half])
+        return scipy.sparse.csr_array((data, (rows, cols)), shape=(len(self.p),) * 2)
+
+    def commutes(self, x) -> bool:
+        """X[P][:, P] == X exactly (P[d] == d for a diagonal d)."""
+        if self.identity:
+            return True
+        x = np.asarray(x)
+        return np.array_equal(x[np.ix_(self.p, self.p)] if x.ndim == 2 else x[self.p], x)
+
+    def block(self, x, k: int):
+        """Block k of T X T^T for an X (array or CSR matrix) that commutes with
+        P: the C-even one [[X_ff, sqrt 2 X_fa], [sqrt 2 X_af, X_aa + X_ab]]
+        (k = 0) or the C-odd one X_aa - X_ab (k = 1)."""
+        if self.identity:
+            return x[self.blocks[k], self.blocks[k]]
+
+        def gather(rows, cols):
+            return x[np.ix_(rows, cols)]
+
+        x_aa, x_ab = gather(self.a, self.a), gather(self.a, self.b)
+        if k:
+            return x_aa - x_ab
+        grid = [[gather(self.f, self.f), np.sqrt(2.0) * gather(self.f, self.a)],
+                [np.sqrt(2.0) * gather(self.a, self.f), x_aa + x_ab]]
+        return scipy.sparse.block_array(grid, format="csr") if scipy.sparse.issparse(x) else np.block(grid)
+
+    def part(self, x, part: slice):
+        """The blocks of T X T^T in ``part`` for an X that commutes with P: one
+        block, or both on the diagonal of the whole basis with exact zeros
+        between them."""
+        if part in self.blocks:
+            return self.block(x, self.blocks.index(part))
+        even, odd = self.block(x, 0), self.block(x, 1)
+        if scipy.sparse.issparse(x):
+            return scipy.sparse.block_diag([even, odd], format="csr")
+        out = np.zeros(x.shape, dtype=x.dtype)
+        out[self.blocks[0], self.blocks[0]], out[self.blocks[1], self.blocks[1]] = even, odd
+        return out
+
+    def to_c(self, x: np.ndarray) -> np.ndarray:
+        """T X T^T for any array X."""
+        return x if self.identity else np.ascontiguousarray(self.t @ x @ self.t.T)
+
+    def to_sector(self, z: np.ndarray) -> np.ndarray:
+        """T^T Z T, the inverse of ``to_c``."""
+        return z if self.identity else np.ascontiguousarray(self.t.T @ z @ self.t)
+
+    def sizes(self) -> list:
+        return [part.stop - part.start for part in self.parts]
+
+
+def _engine_basis(hamiltonian, lindblad_op, rho0=None, diagonals=()) -> _CBasis:
+    """The C basis an engine runs in, with the parts it steps rho0 in.
+
+    P is ``hamiltonian.conjugation`` when H, L and every diagonal in
+    ``diagonals`` commute with it exactly, and the identity otherwise (and for
+    plain arrays).  A rho0 that commutes with P too (None stands for 1/dim) is
+    stepped block by block, and a block of it that is exactly zero is skipped;
+    any other is stepped as one matrix, on the whole C basis.
+    """
+    h = _matrix_of(hamiltonian)
+    c = _CBasis(getattr(hamiltonian, "conjugation", None), len(h))
+    if not all(c.commutes(x) for x in (h, _matrix_of(lindblad_op), *diagonals)):
+        c = _CBasis(None, len(h))
+    if rho0 is None or c.identity:
+        return c
+    rho = _matrix_of(rho0)
+    if rho.shape == h.shape and c.commutes(rho):
+        stepped = [part for part in c.parts if np.any(c.part(rho, part))]
+        if stepped:
+            c.parts, c.skipped = stepped, len(stepped) < len(c.parts)
+            return c
+    c.parts = [slice(0, len(h))]
+    return c
+
+
+def _states_of(c: _CBasis, r0: np.ndarray) -> list:
+    """R0 on each stepped part of ``c``: a block when R0 commutes with P, the
+    whole T R0 T^T otherwise (``_engine_basis``)."""
+    return [c.part(r0, part) if part in c.blocks else c.to_c(r0) for part in c.parts]
 
 
 # ---------------------------------------------------------------------------
@@ -363,34 +514,45 @@ def _density_of_real(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def _run_trajectory(
-    state, step, n_steps, time_of, *, pair_count, electric_square, stride=1, tolerances=None, rho=None,
+    c, states, step, n_steps, time_of, *, diagonals, stride=1, tolerances=None, buffer=None, counters=None,
 ) -> EvolutionRecord:
     """The one record loop behind every engine.
 
-    ``step(state, k)`` advances the real dim x dim state R (module docstring)
-    to step k <= ``n_steps``.  Step 0, every ``stride``-th and the last step
-    are recorded at ``time_of(k)`` straight off R (diag rho = diag R and
-    tr rho^2 = sum_ij R_ij^2); only ``min_eig`` decodes rho, into the complex
-    buffer ``rho`` (a new one when None).  With ``tolerances`` (``trace_tol``,
-    ``psd_tol``) every row but the first is checked.
+    ``states`` are the real states R (module docstring) of the parts of the C
+    basis ``c`` that the engine steps, and ``step(states, k)`` advances them to
+    step k <= ``n_steps``.  Step 0, every ``stride``-th and the last step are
+    recorded at ``time_of(k)``.  Trace, purity and the observables with the
+    sector diagonals ``diagonals`` (pair count, E^2) are sums over the parts of
+    reads straight off R (diag rho = diag R and tr rho^2 = sum_ij R_ij^2).
+    ``min_eig`` is the least eigenvalue over the parts, and 0 when a block was
+    skipped; only it decodes rho, into the flat complex ``buffer`` (a new one
+    when None).  With ``tolerances`` (``trace_tol``, ``psd_tol``) every row
+    but the first is checked.  The record carries ``counters`` and the number
+    of records and stepped block sizes.
     """
-    pairs_diag = _diagonal_of(pair_count, "pair_count")
-    e2_diag = _diagonal_of(electric_square, "electric_square")
+    reads = [tuple(d[c.order][part] for d in diagonals) for part in c.parts]
+    if buffer is None:
+        buffer = np.empty(max(r.size for r in states), dtype=complex)
     rows = []
     for k in range(n_steps + 1):
         if k > 0:
-            state = step(state, k)
+            states = step(states, k)
         if k % stride and k != n_steps:
             continue
-        diag = np.diagonal(state)
-        tr = float(np.sum(diag))
-        rho = _density_of_real(state, rho)
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
+        sums, eigs = [], [0.0] if c.skipped else []
+        for r, (pairs_diag, e2_diag) in zip(states, reads):
+            diag = np.diagonal(r)
+            sums.append((float(np.sum(diag)), float(pairs_diag @ diag), float(e2_diag @ diag),
+                         float(np.vdot(r, r))))
+            rho = _density_of_real(r, buffer[:r.size].reshape(r.shape))
+            eigs.append(float(np.linalg.eigvalsh(rho)[0]))
+        tr, pairs, e2, purity = map(sum, zip(*sums))
+        min_eig = min(eigs)
         if tolerances is not None and k > 0:
             _check_invariants(tr, min_eig, **tolerances)
-        rows.append((time_of(k), float(pairs_diag @ diag), float(e2_diag @ diag), tr,
-                     float(np.vdot(state, state)), min_eig))
-    return EvolutionRecord(*np.array(rows).T)
+        rows.append((time_of(k), pairs, e2, tr, purity, min_eig))
+    counters = {"two_thread": False, **(counters or {}), "records": len(rows), "blocks": c.sizes()}
+    return EvolutionRecord(*np.array(rows).T, counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +580,17 @@ def _real_matrix_of(op, name: str) -> np.ndarray:
     return np.ascontiguousarray(m.real, dtype=float)
 
 
-def _real_operands(h: np.ndarray, lop: np.ndarray) -> tuple:
-    """[H; L] (H stacked on L), L and L^T / 2 for ``_real_rhs``: CSR matrices
-    when fewer than ``RK4_SPARSE_BELOW`` of the entries of H and L are
-    nonzero, C-contiguous arrays otherwise.  Halving is exact, so products
-    with L^T / 2 are bit for bit half the products with L^T."""
+def _real_operands(h, lop) -> tuple:
+    """[H; L] (H stacked on L), L and L^T / 2 for ``_real_rhs``, from arrays
+    or CSR matrices: CSR matrices when fewer than ``RK4_SPARSE_BELOW`` of the
+    entries of H and L are nonzero, C-contiguous arrays otherwise.  Halving is
+    exact, so products with L^T / 2 are bit for bit half the products with
+    L^T."""
+    if scipy.sparse.issparse(h):
+        stacked = scipy.sparse.vstack([h, lop], format="csr")
+        if stacked.nnz < RK4_SPARSE_BELOW * stacked.shape[0] * stacked.shape[1]:
+            return stacked, lop, (0.5 * lop.T).tocsr()
+        h, lop = h.toarray(), lop.toarray()
     stacked = np.vstack([h, lop])
     half_lop_t = 0.5 * lop.T
     if np.count_nonzero(stacked) < RK4_SPARSE_BELOW * stacked.size:
@@ -554,17 +722,19 @@ def rk4_evolve(
     is monitored every step and the run aborts if it leaves 1 by more than
     ``TRACE_ABORT_TOL`` or turns non-finite.  H and L must be real.
 
-    The state is the real matrix R of the module docstring, and for real H
-    and L, with G = L^T L, the generator reads
+    The state is the real matrix R of the module docstring, one per stepped
+    part of the C basis (``_engine_basis``), and for real H and L, with
+    G = L^T L, the generator reads
 
         dR/dt = R^T H - H R^T + L R L^T - 1/2 (G R + R G),
 
     five matrix products per right-hand side (``_real_rhs``), with CSR or
-    dense operands (``_real_operands``) and from dim ``RK4_THREADS_FROM_DIM``
-    on run on two threads (``_threaded_real_rhs``; dR/dt, and so every record,
-    is bit for bit the serial result).  A step works in four preallocated
-    dim x dim buffers and updates R in place.  A rho0 whose Hermiticity error
-    exceeds 1e-10 is refused with ValueError (see ``_real_state_of``).
+    dense operands (``_real_operands``) and for parts from
+    ``RK4_THREADS_FROM_DIM`` on run on two threads (``_threaded_real_rhs``;
+    dR/dt, and so every record, is bit for bit the serial result).  A step
+    works in three preallocated buffers per part and updates each R in place.
+    A rho0 whose Hermiticity error exceeds 1e-10 is refused with ValueError
+    (see ``_real_state_of``).
     """
     h = _real_matrix_of(hamiltonian, "hamiltonian")
     lop = _real_matrix_of(lindblad_op, "lindblad_op")
@@ -573,41 +743,49 @@ def rk4_evolve(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = _step_count(t_max, dt)
+    diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
+    c = _engine_basis(hamiltonian, lop, rho0, diagonals)
     r0 = _real_state_of(rho0)
-    operands = _real_operands(h, lop)
-    threaded = (scipy.sparse.issparse(operands[0]) and h.shape[0] >= RK4_THREADS_FROM_DIM
-                and _usable_cpus() > 1)
-    acc, slope, stage = (np.empty(h.shape) for _ in range(3))
-    rho = np.empty(h.shape, dtype=complex)
+    states = _states_of(c, r0)
+    if not c.identity:  # gathered from CSR copies, the C-basis operands take no dense temporaries
+        h, lop = scipy.sparse.csr_array(h), scipy.sparse.csr_array(lop)
+    operands = [_real_operands(c.part(h, part), c.part(lop, part)) for part in c.parts]
+    del r0, h, lop  # the sector-basis copies go before the step buffers come
+    threaded = [scipy.sparse.issparse(ops[0]) and ops[1].shape[0] >= RK4_THREADS_FROM_DIM
+                and _usable_cpus() > 1 for ops in operands]
+    buffers = [np.empty((3,) + r.shape) for r in states]
+    rho = np.empty(max(r.size for r in states), dtype=complex)
 
-    def step(r, k):
-        # acc sums dt (k1 + 2 k2 + 2 k3 + k4) / 6; each later slope is taken at
-        # the stage r + c dt (previous slope) and enters acc with weight w dt
-        rhs(r, slope)
-        np.multiply(slope, dt / 6.0, out=acc)
-        for c, w in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
-            np.multiply(slope, c * dt, out=stage)
-            np.add(stage, r, out=stage)
-            rhs(stage, slope)
-            np.multiply(slope, w * dt, out=stage)
-            np.add(acc, stage, out=acc)
-        r += acc
-        tr = float(np.trace(r))
+    def step(states, k):
+        for r, rhs, (acc, slope, stage) in zip(states, rhss, buffers):
+            # acc sums dt (k1 + 2 k2 + 2 k3 + k4) / 6; each later slope is taken
+            # at the stage r + c dt (previous slope) and enters acc with weight w dt
+            rhs(r, slope)
+            np.multiply(slope, dt / 6.0, out=acc)
+            for c_dt, w in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
+                np.multiply(slope, c_dt * dt, out=stage)
+                np.add(stage, r, out=stage)
+                rhs(stage, slope)
+                np.multiply(slope, w * dt, out=stage)
+                np.add(acc, stage, out=acc)
+            r += acc
+        tr = sum(float(np.trace(r)) for r in states)
         if not np.isfinite(tr) or abs(tr - 1.0) > TRACE_ABORT_TOL:
             raise RuntimeError(
                 f"rk4 aborted at t={k * dt:.6g}: trace deviated to {tr!r} "
                 f"(tolerance {TRACE_ABORT_TOL}); reduce dt"
             )
-        return r
+        return states
 
-    # the worker thread lives for this call only
-    with ThreadPoolExecutor(max_workers=1) if threaded else contextlib.nullcontext() as pool:
-        rhs = (_threaded_real_rhs(*operands, pool, rho.view(float)) if threaded
-               else _real_rhs(*operands))
-        return _run_trajectory(
-            r0, step, n_steps, lambda k: k * dt,
-            pair_count=pair_count, electric_square=electric_square, stride=stride, rho=rho,
-        )
+    # the worker thread lives for this call only; every part lends it the
+    # record buffer, whose contents are dead between records
+    with ThreadPoolExecutor(max_workers=1) if any(threaded) else contextlib.nullcontext() as pool:
+        rhss = [_threaded_real_rhs(*ops, pool, rho[:r.size].view(float)) if two else _real_rhs(*ops)
+                for ops, two, r in zip(operands, threaded, states)]
+        counters = {"steps": n_steps, "rhs_evaluations": 4 * n_steps * len(states),
+                    "two_thread": any(threaded)}
+        return _run_trajectory(c, states, step, n_steps, lambda k: k * dt, diagonals=diagonals,
+                               stride=stride, buffer=rho, counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +809,29 @@ def _expm_multiply(lv, vec, **grid) -> np.ndarray:
         np.random.set_state(state)
 
 
+def _block_generators(c: _CBasis, hamiltonian, lindblad_op) -> list:
+    """H, L and L^T L / 2 as CSR matrices on each stepped part of ``c``, once
+    the generator of every part is known to fit (``_liouvillian_terms``
+    raises ValueError before any of them is assembled)."""
+    h = _real_csr(hamiltonian, "hamiltonian")
+    lop = _real_csr(lindblad_op, "lindblad_op")
+    return [_liouvillian_terms(c.part(h, part), c.part(lop, part)) for part in c.parts]
+
+
 def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
-    """rho(t), decoded from vec(R(t)) = expm(Lv t) vec(R0); Hermitian bit for bit.
-    A t that is negative or not finite is refused with ValueError before Lv is built."""
+    """rho(t), from vec(R(t)) = expm(Lv t) vec(R0) on each stepped part of the
+    C basis (``_engine_basis``), mapped back to the sector basis and decoded;
+    Hermitian bit for bit.  A t that is negative or not finite is refused with
+    ValueError before Lv is built."""
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
+    c = _engine_basis(hamiltonian, lindblad_op, rho0)
+    terms = _block_generators(c, hamiltonian, lindblad_op)
     r0 = _real_state_of(rho0)
-    r_t = _expm_multiply(lv * t, r0.ravel()).reshape(r0.shape)
-    return DensityMatrix(_density_of_real(r_t))
+    r_t = np.zeros(r0.shape)
+    for part, r, (h, lop, _) in zip(c.parts, _states_of(c, r0), terms):
+        r_t[part, part] = _expm_multiply(vectorized_liouvillian(h, lop) * t, r.ravel()).reshape(r.shape)
+    return DensityMatrix(_density_of_real(c.to_sector(r_t)))
 
 
 def exact_evolve(
@@ -655,11 +847,12 @@ def exact_evolve(
 
     The states come from the action of expm(Lv t) on vec(R0) over the grid
     (``expm_multiply``, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)); Lv stays sparse and is never exponentiated.  The grid must start
-    at 0 and be finite and uniform with a positive step (ValueError
-    otherwise, before any setup).  It is taken in one call when its states
-    fit in ``_EXACT_GRID_BYTES`` and in consecutive blocks of that size
-    otherwise, each starting from the last state of the one before.  H and L must be
+    (2011)), with one Lv per stepped part of the C basis (``_engine_basis``);
+    Lv stays sparse and is never exponentiated.  The grid must start at 0 and
+    be finite and uniform with a positive step (ValueError otherwise, before
+    any setup).  A part takes it in one call when its states fit in
+    ``_EXACT_GRID_BYTES`` and in consecutive blocks of that size otherwise,
+    each starting from the last state of the one before.  H and L must be
     real and rho0 Hermitian, as for ``rk4_evolve``.
     """
     times = np.asarray(times, dtype=float)
@@ -668,23 +861,27 @@ def exact_evolve(
     steps = np.diff(times)
     if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-12 * max(1.0, times[-1]))):
         raise ValueError("time grid must be uniform and increasing")
-    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
-    r0 = _real_state_of(rho0)
-    block = max(1, _EXACT_GRID_BYTES // r0.nbytes - 1)  # steps per call
+    diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
+    c = _engine_basis(hamiltonian, lindblad_op, rho0, diagonals)
+    lvs = [vectorized_liouvillian(h, lop) for h, lop, _ in _block_generators(c, hamiltonian, lindblad_op)]
+    states = _states_of(c, _real_state_of(rho0))
+    counters = {"steps": len(steps), "expm_multiply_calls": 0}
 
-    def states():
-        vec = r0.ravel()
+    def flow(lv, r):
+        block = max(1, _EXACT_GRID_BYTES // r.nbytes - 1)  # steps per call
+        vec = r.ravel()
         for first in range(0, len(steps), block):
             last = min(first + block, len(steps))
             grid = _expm_multiply(lv, vec, start=0.0, stop=times[last] - times[first],
                                   num=last - first + 1, endpoint=True)
+            counters["expm_multiply_calls"] += 1
             yield from grid[1:]
             vec = grid[-1]
 
-    flow = states()
+    flows = [flow(lv, r) for lv, r in zip(lvs, states)]
     return _run_trajectory(
-        r0, lambda r, k: next(flow).reshape(r0.shape), len(steps), times.__getitem__,
-        pair_count=pair_count, electric_square=electric_square,
+        c, states, lambda rs, k: [next(f).reshape(r.shape) for f, r in zip(flows, rs)], len(steps),
+        times.__getitem__, diagonals=diagonals, counters=counters,
     )
 
 
@@ -692,34 +889,51 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
     """The time-averaged long-time limit of the flow from 1/dim (the limit
     itself when no eigenvalue of Lv is purely imaginary).
 
-    The kernel of Lv can be degenerate (dimension 3 at N = 4, 2 at N = 5), so
-    an arbitrary null vector need not be a density matrix.  The time average
-    of exp(Lv t) vec(R0) is the spectral projection of R0 onto the kernel,
-    found by power iteration of mu (mu I - Lv)^-1, mu = 1e-6 ||Lv||_inf, on one
-    sparse LU factorization, from vec(1/dim) with the trace reset to one after
-    each solve.  A solve fixes the kernel and shrinks the component of every
-    other eigenvalue lambda, purely imaginary ones included, by
+    1/dim commutes with the conjugation P, so in the C basis
+    (``_engine_basis``) each block of size d flows on its own and keeps its
+    trace d/dim: the result is (d_e/dim) sigma_e + (d_o/dim) sigma_o, with
+    sigma the limit of the block's flow from 1/d.
+
+    The kernel of a block's Lv can be degenerate (dimension 3 at N = 4, 2 at
+    N = 5 for the whole sector), so an arbitrary null vector need not be a
+    density matrix.  The time average of exp(Lv t) vec(R0) is the spectral
+    projection of R0 onto the kernel, found by power iteration of
+    mu (mu I - Lv)^-1, mu = 1e-6 ||Lv||_inf, on one sparse LU factorization per
+    block, from vec(1/d) with the trace reset to one after each solve.  A
+    solve fixes the kernel and shrinks the component of every other
+    eigenvalue lambda, purely imaginary ones included, by
     mu / |mu - lambda| <= mu / |lambda|: about 2e-4 at N = 4 and 5 (smallest
     nonzero |lambda| 0.11 and 0.09, ||Lv||_inf 19 and 24).  It stops at the
     first solve that changes the iterate no less than the one before, at the
     rounding floor near 1e-13: 5 solves at N = 4, 7 at N = 5.  One still
     improving after ``_STEADY_STATE_SOLVES`` solves (contraction about 1/2 or
-    slower) raises RuntimeError; dim^2 above ``STEADY_STATE_MAX_ORDER`` raises
-    ValueError before Lv is built.  The average of the positive flow from
-    1/dim, which has weight in every block, is positive semi-definite; it is
+    slower) raises RuntimeError; a block with d^2 above
+    ``STEADY_STATE_MAX_ORDER`` raises ValueError before any Lv is built.  The
+    average of the positive flow from 1/dim is positive semi-definite; it is
     returned with trace one, decoded from R and so Hermitian bit for bit.
     """
-    dim = _matrix_of(hamiltonian).shape[0]
-    if dim**2 > STEADY_STATE_MAX_ORDER:
-        raise ValueError(
-            f"steady state for dim {dim} needs the LU factors of an order-{dim**2} "
-            f"generator (> {STEADY_STATE_MAX_ORDER}); run rk4_evolve to late times instead"
-        )
-    lv = vectorized_liouvillian(hamiltonian, lindblad_op)
+    c = _engine_basis(hamiltonian, lindblad_op)
+    dim = len(c.p)
+    for d in c.sizes():
+        if d**2 > STEADY_STATE_MAX_ORDER:
+            raise ValueError(
+                f"steady state for dim {dim} needs the LU factors of an order-{d**2} "
+                f"generator (> {STEADY_STATE_MAX_ORDER}); run rk4_evolve to late times instead"
+            )
+    r = np.zeros((dim, dim))
+    for part, (h, lop, _) in zip(c.parts, _block_generators(c, hamiltonian, lindblad_op)):
+        d = part.stop - part.start
+        r[part, part] = _block_steady_state(vectorized_liouvillian(h, lop), d) * (d / dim)
+    return DensityMatrix(_density_of_real(c.to_sector(r)))
+
+
+def _block_steady_state(lv, d: int) -> np.ndarray:
+    """R of ``steady_state``'s power iteration on the generator ``lv`` of one
+    block of size d, from vec(1/d), with trace one."""
     shift = 1e-6 * float(np.max(abs(lv).sum(axis=1)))
-    lu = scipy.sparse.linalg.splu((shift * scipy.sparse.eye_array(dim**2) - lv).tocsc())
-    diagonal = np.arange(0, dim**2, dim + 1)  # the positions of tr R in vec(R)
-    vec = np.eye(dim).ravel() / dim
+    lu = scipy.sparse.linalg.splu((shift * scipy.sparse.eye_array(d**2) - lv).tocsc())
+    diagonal = np.arange(0, d**2, d + 1)  # the positions of tr R in vec(R)
+    vec = np.eye(d).ravel() / d
     change = np.inf
     for _ in range(_STEADY_STATE_SOLVES):
         nxt = lu.solve(vec)
@@ -727,7 +941,7 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
         last, change = change, float(np.max(np.abs(nxt - vec)))
         vec = nxt
         if change >= last:
-            return DensityMatrix(_density_of_real(vec.reshape(dim, dim)))
+            return vec.reshape(d, d)
     raise RuntimeError(f"steady state not converged after {_STEADY_STATE_SOLVES} solves "
                        f"(last change {change:.3e}): Lv has an eigenvalue too close to 0")
 
@@ -742,42 +956,27 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     and ``c_even``, the same of the C-even block's, which holds the vacuum.
 
     With P = ``hamiltonian.conjugation`` (the identity for an operator without
-    one, or a plain array) the blocks are gathered from H by three index sets:
-    P's fixed points f, the first member a of each swapped pair and its
-    partner b = P[a].  The C-even block on the f and (a + b)/sqrt 2 states is
-    [[H_ff, sqrt 2 H_fa], [sqrt 2 H_af, H_aa + H_ab]]; the C-odd block on the
-    (a - b)/sqrt 2 states is H_aa - H_ab.  P must commute with H exactly,
-    checked as H_fa = H_fb, H_af = H_bf, H_aa = H_bb and H_ab = H_ba
-    (ValueError otherwise).  Each block is diagonalized on its own (476 and
-    324 states instead of 800 at N = 8), with the Boltzmann weights shifted by
-    the lower of the two ground energies.
+    one, or a plain array) H is mapped into the C basis of ``_CBasis``: its
+    C-even block holds P's fixed points and the (a + b)/sqrt 2 states, its
+    C-odd block the (a - b)/sqrt 2 states.  P must commute with H exactly,
+    H[P][:, P] == H (ValueError otherwise).  Each block is diagonalized on its
+    own (476 and 324 states instead of 800 at N = 8), with the Boltzmann
+    weights shifted by the lower of the two ground energies.
 
     Both observables must be diagonal in the sector basis (ValueError
     otherwise), so only the diagonal of each block's Gibbs state,
-    sum_k w_k |v_k|^2 over its eigenvectors v_k, is formed; a pair's two
-    states share the weight of its (a + b) and (a - b) states evenly.  A
-    negative or non-finite beta is refused with ValueError.
+    sum_k w_k |v_k|^2 over its eigenvectors v_k, is formed; it meets the
+    observable's diagonal made P-symmetric, (d + d[P]) / 2, in the C basis.
+    A negative or non-finite beta is refused with ValueError.
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     h = _matrix_of(hamiltonian)
-    states = np.arange(len(h))
-    p = getattr(hamiltonian, "conjugation", None)
-    p = states if p is None else p
-    f, a = np.flatnonzero(p == states), np.flatnonzero(p > states)
-    b = p[a]
-
-    def block(rows, cols):
-        return h[np.ix_(rows, cols)]
-
-    h_fa, h_aa, h_ab = block(f, a), block(a, a), block(a, b)
-    if not (np.array_equal(h_fa, block(f, b)) and np.array_equal(block(a, f), block(b, f))
-            and np.array_equal(h_aa, block(b, b)) and np.array_equal(h_ab, block(b, a))):
+    c = _CBasis(getattr(hamiltonian, "conjugation", None), len(h))
+    if not c.commutes(h):
         raise ValueError("the Hamiltonian does not commute with its conjugation")
-    even = np.block([[block(f, f), np.sqrt(2.0) * h_fa], [np.sqrt(2.0) * block(a, f), h_aa + h_ab]])
-    evals_even, vecs_even = np.linalg.eigh(even)
-    evals_odd, vecs_odd = np.linalg.eigh(h_aa - h_ab)
-    ground = min(evals_even[0], evals_odd[0]) if len(a) else evals_even[0]
+    (evals_even, vecs_even), (evals_odd, vecs_odd) = (np.linalg.eigh(c.part(h, part)) for part in c.blocks)
+    ground = min(evals_even[0], evals_odd[0]) if len(evals_odd) else evals_even[0]
     w_even = np.exp(-beta * (evals_even - ground))
     w_odd = np.exp(-beta * (evals_odd - ground))
     # unnormalized diagonals of the two blocks' Gibbs states
@@ -788,9 +987,9 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
 
     def means(op, name):
         d = _diagonal_of(op, name)
-        pair = 0.5 * (d[a] + d[b])
-        in_even = occ_even @ np.concatenate([d[f], pair])
-        return float((in_even + occ_odd @ pair) / z), float(in_even / z_even)
+        d = (0.5 * (d + d[c.p]))[c.order]
+        in_even = occ_even @ d[c.blocks[0]]
+        return float((in_even + occ_odd @ d[c.blocks[1]]) / z), float(in_even / z_even)
 
     n_pairs, n_pairs_even = means(pair_count, "pair_count")
     e2, e2_even = means(electric_square, "electric_square")

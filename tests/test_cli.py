@@ -124,7 +124,7 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     assert sidecar["config"]["dt"] == 0.01
     assert sidecar["config"]["truncate_total_flux"] is True
     assert sidecar["gibbs_reference"]["beta"] == pytest.approx(0.1)
-    assert set(sidecar) == {"config", "gibbs_reference", "invariants", "thermal_gap", "wall_time_s"}
+    assert set(sidecar) == {"config", "gibbs_reference", "invariants", "thermal_gap", "counters", "wall_time_s"}
     # the blocks summarize the rows of the CSV, which round-trip exactly
     assert sidecar["invariants"]["max_trace_error"] == np.max(np.abs(rec.trace - 1.0))
     assert sidecar["invariants"]["min_eig"] == np.min(rec.min_eig)
@@ -135,6 +135,21 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     # the C-even line, which the vacuum reaches, is the full one at N = 2
     assert gibbs["c_even"] == {"n_pairs": gibbs["n_pairs"], "e2": gibbs["e2"]}
     assert gap["c_even"] == {"e2": gap["e2"], "n_pairs": gap["n_pairs"]}
+    assert sidecar["counters"] == {"two_thread": False, "steps": 100, "rhs_evaluations": 400,
+                                   "records": 11, "blocks": [4]}
+
+
+@pytest.mark.parametrize("method, evaluations", [("rk4", {"rhs_evaluations": 40}),
+                                                 ("exact", {"expm_multiply_calls": 1}),
+                                                 ("dilation", {"cycles": 10})])
+def test_a_vacuum_run_reports_its_one_stepped_block(tmp_path, method, evaluations):
+    # at N = 4 the vacuum lies in the C-even block (16 of the 18 states); the
+    # C-odd block is exactly zero and is never stepped
+    out = tmp_path / "run.csv"
+    assert run_cli(["evolve", "--n-sites", "4", "--method", method, "--t-max", "0.1", "--dt", "0.01",
+                    "--n-cycles", "10", "-o", str(out)]) == 0
+    counters = json.loads((tmp_path / "run.json").read_text())["counters"]
+    assert counters == {"two_thread": False, "steps": 10, **evaluations, "records": 11, "blocks": [16]}
 
 
 @pytest.mark.parametrize("flags, dim, truncated", [([], 4, True), (["--full-flux"], 5, False)],
@@ -216,8 +231,8 @@ def test_evolve_exact_method(tmp_path):
         ("--n-cycles", ["evolve", "--n-sites", "2", "--method", "dilation", "--t-max", "1",
                         "--n-cycles", "100000000000000000", "-o", "OUT"]),
         ("--n-sites", ["evolve", "--n-sites", "13", "-o", "OUT"]),
-        ("--method exact", ["evolve", "--n-sites", "7", "--method", "exact", "-o", "OUT"]),
-        ("--method exact", ["compare", "--n-sites", "7", "--method-a", "rk4", "--method-b", "exact",
+        ("--method exact", ["evolve", "--n-sites", "8", "--method", "exact", "-o", "OUT"]),
+        ("--method exact", ["compare", "--n-sites", "8", "--method-a", "rk4", "--method-b", "exact",
                             "--t-max", "0.01", "--dt", "0.005", "--out-a", "OUT"]),
         ("-o/--output", ["evolve", "--n-sites", "2", "--t-max", "0.1", "-o", "OUT.json"]),
         ("--out-b", ["compare", "--n-sites", "2", "--method-a", "rk4", "--method-b", "exact",
@@ -448,12 +463,13 @@ def test_sweep_of_zero_horizon_omits_the_curve_distances(tmp_path):
 
 
 def test_sweep_refuses_an_exact_size_before_its_engine_starts(tmp_path, capsys):
-    # N = 2 runs; the N = 7 generator (bound 139 MiB) is a usage error
+    # N = 2 runs; the generator of the N = 8 vacuum's C-even block (dim 476)
+    # is a usage error
     with pytest.raises(SystemExit) as err:
-        run_cli(["sweep", "--sites", "2,7", "--method", "exact", "--t-max", "0.1", "--dt", "0.05",
+        run_cli(["sweep", "--sites", "2,8", "--method", "exact", "--t-max", "0.1", "--dt", "0.05",
                  "-o", str(tmp_path)])
     assert err.value.code == 2
-    assert "--method exact at N = 7: superoperator" in capsys.readouterr().err
+    assert "--method exact at N = 8: superoperator for dim 476" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["evolve_N2.csv", "evolve_N2.json"]
 
 

@@ -68,6 +68,21 @@ def c_even_basis(conjugation):
     return basis
 
 
+def c_basis(conjugation):
+    """Test-only oracle: the orthonormal columns of the engines' C basis, in
+    their order: e_s for each fixed point s of P, then (e_s + e_P(s)) / sqrt 2
+    and then (e_s - e_P(s)) / sqrt 2 for each pair s < P(s)."""
+    fixed = [s for s, image in enumerate(conjugation) if image == s]
+    pairs = [(s, int(image)) for s, image in enumerate(conjugation) if image > s]
+    basis = np.zeros((len(conjugation), len(conjugation)))
+    for k, s in enumerate(fixed):
+        basis[s, k] = 1.0
+    for k, (s, image) in enumerate(pairs):
+        for column, sign in ((len(fixed) + k, 1.0), (len(fixed) + len(pairs) + k, -1.0)):
+            basis[s, column], basis[image, column] = 1.0 / np.sqrt(2.0), sign / np.sqrt(2.0)
+    return basis
+
+
 def dense_liouvillian(h, lop):
     """Test-only oracle: the real generator on row-major vec(R) as a dense
     array, Lv = (1 kron H - H kron 1) S + L kron L - 1/2 (G kron 1 + 1 kron G)."""
@@ -253,6 +268,42 @@ def test_liouvillian_guard_against_huge_spaces():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("engine", ["exact_evolve", "exact_propagate"])
+def test_exact_engines_refuse_a_state_spanning_both_blocks_at_seven_sites(engine):
+    # a random state at N = 7 is stepped as one matrix of dim 284, whose
+    # generator is over budget; the bound is taken from CSR operators and the
+    # run is refused before the state is mapped into the C basis
+    _, _, ops, _, lop = standard_setup(7)
+    psi = np.random.default_rng(1).standard_normal(ops.dim)
+    rho0 = np.outer(psi, psi) / (psi @ psi)
+    run = {"exact_evolve": lambda: exact_evolve(rho0, ops.hamiltonian, lop, [0.0, 0.1],
+                                                pair_count=ops.pair_count,
+                                                electric_square=ops.electric_square),
+           "exact_propagate": lambda: exact_propagate(rho0, ops.hamiltonian, lop, 0.1)}[engine]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="superoperator for dim 284"):
+            run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_rk4_tracks_the_exact_flow_of_the_seven_site_vacuum():
+    # the vacuum's C-even block at N = 7 (186 of 284 states) fits the
+    # Liouvillian budget, so RK4 has an exact oracle there
+    _, _, ops, _, lop = standard_setup(7)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    obs = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    exact = exact_evolve(rho0, ops.hamiltonian, lop, np.arange(5) * 0.05, **obs)
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, t_max=0.2, dt=0.01, stride=5, **obs)
+    assert exact.counters["blocks"] == rec.counters["blocks"] == [186]
+    assert np.allclose(rec.times, exact.times, rtol=0, atol=1e-12)
+    for name in ("n_pairs", "e2", "trace", "purity"):
+        assert np.max(np.abs(getattr(rec, name) - getattr(exact, name))) < 1e-6, name
+
+
 def test_steady_state_is_refused_at_six_sites_before_any_work():
     # N = 6 (dim 109): the LU factors of the order-11881 generator are refused
     # before the generator itself is built
@@ -319,6 +370,108 @@ def test_steady_state_is_the_kernel_projection_of_the_mixed_state(n_sites):
     r /= np.trace(r)
     expected = 0.5 * (r + r.T) + 0.5j * (r - r.T)
     assert np.max(np.abs(steady_state(ops.hamiltonian, lop).matrix - expected)) <= 1e-10
+
+
+# every engine, with rho0, H and L given; each returns a record or a matrix
+C_BASIS_ENGINES = {
+    "rk4_evolve": lambda rho0, h, lop, kw: rk4_evolve(rho0, h, lop, 0.5, 0.01, stride=5, **kw),
+    "exact_evolve": lambda rho0, h, lop, kw: exact_evolve(rho0, h, lop, np.arange(6) * 0.1, **kw),
+    "dilation_evolve": lambda rho0, h, lop, kw: dilation_evolve(rho0, h, lop, 0.5, 10, **kw),
+    "exact_propagate": lambda rho0, h, lop, kw: exact_propagate(rho0, h, lop, 0.5).matrix,
+    "steady_state": lambda rho0, h, lop, kw: steady_state(h, lop).matrix,
+}
+
+
+def _columns(result):
+    if isinstance(result, EvolutionRecord):
+        return {name: getattr(result, name) for name in ("times", "n_pairs", "e2", "trace", "purity", "min_eig")}
+    return {"matrix": result}
+
+
+def _identity_path(engine, rho0, ops, lop):
+    """The engine on plain arrays: no conjugation, so no C basis."""
+    kw = dict(pair_count=ops.pair_count.matrix, electric_square=ops.electric_square.matrix)
+    return _columns(C_BASIS_ENGINES[engine](rho0, ops.hamiltonian.matrix, lop, kw))
+
+
+def _pure(rng, dim):
+    psi = rng.standard_normal(dim)
+    return DensityMatrix(np.outer(psi, psi) / (psi @ psi))
+
+
+@pytest.mark.parametrize("engine", sorted(C_BASIS_ENGINES))
+@pytest.mark.parametrize("state", ["vacuum", "random"])
+@pytest.mark.parametrize("n_sites", [4, 5])
+def test_the_c_basis_path_matches_the_identity_path(n_sites, state, engine):
+    # the vacuum is stepped in its C-even block alone, a random pure state as
+    # one matrix on the whole C basis; both must give the sector-basis numbers
+    _, _, ops, _, lop = standard_setup(n_sites)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0) if state == "vacuum" else _pure(np.random.default_rng(1), ops.dim)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    result = C_BASIS_ENGINES[engine](rho0, ops.hamiltonian, lop, kw)
+    expected = _identity_path(engine, rho0, ops, lop)
+    for name, column in _columns(result).items():
+        assert np.max(np.abs(column - expected[name])) <= 1e-12, name
+    if isinstance(result, EvolutionRecord):
+        n_even = int(np.sum(ops.hamiltonian.conjugation >= np.arange(ops.dim)))
+        assert result.counters["blocks"] == ([n_even] if state == "vacuum" else [ops.dim])
+
+
+@pytest.mark.parametrize("engine", sorted(C_BASIS_ENGINES))
+def test_a_rho0_off_c_symmetry_in_one_entry_is_stepped_as_one_matrix(engine):
+    # at N = 4 P swaps states 4 and 5; a 1e-13 coherence between the vacuum
+    # and state 4 alone breaks the symmetry, so rho0 spans both blocks
+    _, sector, ops, _, lop = standard_setup(4)
+    assert list(sector.conjugation[:6]) == [0, 1, 2, 3, 5, 4]
+    rho0 = DensityMatrix.pure_state(ops.dim, 0).matrix
+    rho0[0, 4] = rho0[4, 0] = 1e-13
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    result = C_BASIS_ENGINES[engine](rho0, ops.hamiltonian, lop, kw)
+    expected = _identity_path(engine, rho0, ops, lop)
+    for name, column in _columns(result).items():
+        assert np.max(np.abs(column - expected[name])) <= 1e-12, name
+    if isinstance(result, EvolutionRecord):
+        assert result.counters["blocks"] == [ops.dim]
+
+
+def test_a_lindblad_operator_that_breaks_c_symmetry_falls_back_to_the_identity():
+    # one entry of L moved by 1e-13: P no longer commutes with it, so the run
+    # is the plain-array run bit for bit; with the true L the C-basis run
+    # agrees with both to rounding
+    _, _, ops, _, lop = standard_setup(4)
+    broken = lop.copy()
+    broken[4, 0] += 1e-13
+    rho0 = _pure(np.random.default_rng(2), ops.dim)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    plain = dict(pair_count=ops.pair_count.matrix, electric_square=ops.electric_square.matrix)
+    fallback = rk4_evolve(rho0, ops.hamiltonian, broken, 0.5, 0.01, stride=5, **kw)
+    identity = rk4_evolve(rho0, ops.hamiltonian.matrix, broken, 0.5, 0.01, stride=5, **plain)
+    c_basis_run = rk4_evolve(rho0, ops.hamiltonian, lop, 0.5, 0.01, stride=5, **kw)
+    assert fallback.counters == identity.counters
+    for name, column in _columns(fallback).items():
+        assert np.array_equal(column, _columns(identity)[name]), name
+        assert np.max(np.abs(column - _columns(c_basis_run)[name])) <= 1e-12, name
+
+
+def test_a_skipped_odd_block_is_never_stepped(monkeypatch):
+    # the N = 4 vacuum: one right-hand side of order 16 is built and four
+    # evaluations per step are counted, and the skipped block adds a zero
+    # eigenvalue to min_eig
+    _, _, ops, _, lop = standard_setup(4)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    built = []
+    make = lindblad._real_rhs
+    monkeypatch.setattr(lindblad, "_real_rhs", lambda *ops: built.append(ops[1].shape) or make(*ops))
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, 0.5, 0.01, stride=5, **kw)
+    monkeypatch.undo()
+    assert built == [(16, 16)]
+    assert rec.counters == {"two_thread": False, "steps": 50, "rhs_evaluations": 200, "records": 11,
+                            "blocks": [16]}
+    assert np.all(rec.min_eig <= 0.0)
+    expected = _identity_path("rk4_evolve", rho0, ops, lop)
+    for name, column in _columns(rec).items():
+        assert np.max(np.abs(column - expected[name])) <= 1e-12, name
 
 
 def test_steady_state_that_does_not_converge_is_a_runtime_error(n2_setup, monkeypatch):
@@ -472,8 +625,11 @@ def test_real_state_decodes_to_an_exactly_hermitian_matrix():
 @pytest.mark.parametrize("engine", ["rk4_evolve", "exact_evolve", "dilation_evolve"])
 def test_records_read_off_r_match_the_density_matrix_diagnostics(engine, monkeypatch):
     # every row against the DensityMatrix diagnostics of the rho its min_eig
-    # was taken from; the record loop itself builds no DensityMatrix
-    _, _, ops, _, lop = standard_setup(4)
+    # was taken from; the record loop itself builds no DensityMatrix.  This
+    # rho0 spans both C blocks, so rho is decoded in the whole C basis, and
+    # the observables are read off it mapped back to the sector basis
+    _, sector, ops, _, lop = standard_setup(4)
+    v = c_basis(sector.conjugation)
     rho0 = random_density(np.random.default_rng(3), ops.dim)
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     decoded = []
@@ -500,8 +656,9 @@ def test_records_read_off_r_match_the_density_matrix_diagnostics(engine, monkeyp
         dm = DensityMatrix(rho)
         assert rec.trace[k] == pytest.approx(dm.trace, abs=1e-14)
         assert rec.purity[k] == pytest.approx(dm.purity, abs=1e-14)
-        assert rec.n_pairs[k] == pytest.approx(expectation(dm, ops.pair_count), abs=1e-14)
-        assert rec.e2[k] == pytest.approx(expectation(dm, ops.electric_square), abs=1e-14)
+        in_sector = DensityMatrix(v @ rho @ v.T)
+        assert rec.n_pairs[k] == pytest.approx(expectation(in_sector, ops.pair_count), abs=1e-14)
+        assert rec.e2[k] == pytest.approx(expectation(in_sector, ops.electric_square), abs=1e-14)
         assert rec.min_eig[k] == np.linalg.eigvalsh(rho)[0]
 
 
@@ -648,18 +805,24 @@ def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
 
 
 def test_two_thread_rhs_runs_only_from_the_cut_on_and_on_two_cpus(n2_setup, n7_setup, monkeypatch):
+    # at N = 7 a state that spans both C blocks is stepped as one matrix of
+    # dim 284, above the cut (the vacuum's C-even block, 186, is below it)
     for setup, cpus, expected in ((n2_setup, 2, 0), (n7_setup, 1, 0), (n7_setup, 2, 1)):
         _, _, ops, _, lop = setup
         built = _rk4_threads(monkeypatch, True)
         monkeypatch.setattr(lindblad, "_usable_cpus", lambda: cpus)
-        rk4_evolve(DensityMatrix.pure_state(ops.dim, 0), ops.hamiltonian, lop, 0.01, 0.01,
-                   pair_count=ops.pair_count, electric_square=ops.electric_square)
+        rho0 = random_density(np.random.default_rng(13), ops.dim)
+        rec = rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01,
+                         pair_count=ops.pair_count, electric_square=ops.electric_square)
         assert len(built) == expected
+        assert rec.counters["two_thread"] == bool(expected)
+        assert rec.counters["blocks"] == [ops.dim]
 
 
 def test_no_worker_thread_outlives_an_rk4_call(n7_setup, monkeypatch):
+    # a state that spans both C blocks, stepped as one matrix above the cut
     _, _, ops, _, lop = n7_setup
-    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    rho0 = random_density(np.random.default_rng(13), ops.dim)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
     built = _rk4_threads(monkeypatch, True)
     before = threading.active_count()
