@@ -322,7 +322,11 @@ def cmd_states(args) -> int:
     if n < 1:
         raise _UsageError(f"N must be >= 1, got {n}")
     closed = count_physical_states(n)
-    print(f"N={n}: physical states (closed form) = {closed}")
+    try:
+        digits = str(closed)
+    except ValueError as exc:  # past sys.get_int_max_str_digits(): from N = 8407 on at its default
+        raise _UsageError(f"the count of physical states at N = {n} is too long to print: {exc}") from None
+    print(f"N={n}: physical states (closed form) = {digits}")
     ok = True
     if n <= ENUMERATION_LIMIT:
         spec = LatticeSpec(n)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lindblad import (
-    EvolutionRecord, _diagonal_of, _engine_basis, _matrix_of, _real_state_of, _run_trajectory, _states_of,
+    EvolutionRecord, _diagonal_of, _engine_basis, _matrix_of, _real_state_of, _run_trajectory,
 )
 
 __all__ = [
@@ -129,12 +129,12 @@ def dilation_evolve(
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
     c = _engine_basis(hamiltonian, lindblad_op, rho0, diagonals)
-    r0 = _real_state_of(rho0)
+    states = c.cut(_real_state_of(rho0))
     dt = t_max / n_cycles
-    h, lop = _matrix_of(hamiltonian), _matrix_of(lindblad_op)
-    ws = [_real_layout(cycle_propagator(c.part(h, part), c.part(lop, part), dt)) for part in c.parts]
+    h, lop = c.cut(_matrix_of(hamiltonian)), c.cut(_matrix_of(lindblad_op))
+    ws = [_real_layout(cycle_propagator(*ops, dt)) for ops in zip(h, lop)]
     return _run_trajectory(
-        c, _states_of(c, r0), lambda rs, k: [dilation_cycle(r, w) for r, w in zip(rs, ws)],
+        c, states, lambda rs, k: [dilation_cycle(r, w) for r, w in zip(rs, ws)],
         n_cycles, lambda k: k * dt, diagonals=diagonals, tolerances=CYCLE_TOLERANCES,
         counters={"steps": n_cycles, "cycles": n_cycles * len(c.parts)},
     )

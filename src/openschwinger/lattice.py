@@ -14,7 +14,9 @@ Gauss's law ties the two together site by site,
 so electrons carry charge -1 and positrons +1 and the vacuum is neutral with
 zero flux everywhere.  Only configurations satisfying this constraint at every
 site are physical; everything in this module enumerates, counts, and
-symmetry-reduces that constrained space.
+symmetry-reduces that constrained space.  At |flux| <= 1 Gauss's law makes
+the flux a walk around the ring, so the physical states are counted in
+closed form by a 3 x 3 transfer matrix (``count_physical_states``).
 
 Charge conjugation C maps a configuration to occ'[n] = 1 - occ[n+1] and
 l'[n] = -l[n+1] (indices mod 2N).  It keeps Gauss's law, the cutoff, the
@@ -136,28 +138,21 @@ def gauss_residuals(config: GaugeFermionConfig) -> tuple[int, ...]:
 def count_physical_states(n_sites: int) -> int:
     """Closed-form dimension of the physical space at |flux| <= 1.
 
-    A configuration with M pairs is a cyclic arrangement of M flux strings of
-    odd length x_i (each string connects a positron to an electron across
-    x_i links of |flux| = 1) separated by M zero-flux gaps of length y_i >= 1,
-    with sum x_i + sum y_i = 2N.  Stars-and-bars counts the compositions and
-    the factor 2N/M removes the cyclic relabeling of the M strings; the three
-    charge-free states (uniform flux -1, 0, +1) are added at the end.
+    Gauss's law fixes each link flux from the one before it, so a
+    configuration is a closed walk of the flux around the ring.  Across one
+    spatial site the even fermion site keeps the flux or lowers it by one (an
+    electron) and the odd site keeps it or raises it by one (a positron); over
+    the fluxes -1, 0 and 1 the number of ways from one link value to the next
+    is the transfer matrix M = [[1, 1, 0], [1, 2, 1], [0, 1, 2]], and the
+    count is tr M^N.
 
-    Exact integer arithmetic throughout, so large N is fine.
+    Python integers throughout (an object array), in O(log N) matrix
+    products: N = 2000, a count of 1023 digits, takes under a millisecond.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    nf = 2 * n_sites
-    total = 0
-    for m in range(1, n_sites + 1):
-        inner = 0
-        for k in range(0, n_sites - m + 1):
-            inner += comb(m - 1 + k, m - 1) * comb(nf - 2 * k - m - 1, m - 1)
-        # 2N/M need not be integer on its own; the product always is.
-        num = nf * inner
-        assert num % m == 0
-        total += num // m
-    return total + 3
+    transfer = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=object)
+    return int(np.trace(np.linalg.matrix_power(transfer, n_sites)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ Three ways to evolve, each a step closure run by one trajectory driver; the
 recorded observables must be diagonal in the sector basis.  Every engine runs
 in the charge-conjugation (C) basis of ``_CBasis`` when H, L and both
 observables commute with the conjugation P that H carries, and steps a rho0
-that commutes with P block by block, skipping a block that is exactly zero:
+that commutes with P block by block, skipping a block that is exactly zero.
+H, L and the real state R0 of rho0 (below) all enter that basis the same
+way, as T X T^T sliced into the stepped blocks.  The engines:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
                       matrix products per right-hand side, sparse (CSR) when H
@@ -131,7 +133,9 @@ _EXACT_GRID_BYTES = 64 * 2**20
 
 
 def _matrix_of(op) -> np.ndarray:
-    return op.matrix if isinstance(op, (HermitianOperator, DensityMatrix)) else np.asarray(op)
+    """The matrix of an operator, density matrix, array or sparse matrix, as an array."""
+    m = op.matrix if isinstance(op, (HermitianOperator, DensityMatrix)) else op
+    return m.toarray() if scipy.sparse.issparse(m) else np.asarray(m)
 
 
 @dataclass(frozen=True)
@@ -311,9 +315,12 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
 
 
 def _real_csr(op, name: str):
-    """A CSR matrix as it is; an operator or array as CSR, which must be real
-    (ValueError otherwise)."""
-    return op if scipy.sparse.issparse(op) else scipy.sparse.csr_array(_real_matrix_of(op, name))
+    """An operator, array or sparse matrix as a real CSR matrix; a nonzero
+    imaginary part is refused with ValueError (``_real_matrix_of``)."""
+    if not scipy.sparse.issparse(op):
+        return scipy.sparse.csr_array(_real_matrix_of(op, name))
+    op = scipy.sparse.csr_array(op, copy=True)  # its index arrays are the result's
+    return scipy.sparse.csr_array((_real_matrix_of(op.data, name), op.indices, op.indptr), shape=op.shape)
 
 
 def _liouvillian_terms(hamiltonian, lindblad_op) -> tuple:
@@ -321,8 +328,8 @@ def _liouvillian_terms(hamiltonian, lindblad_op) -> tuple:
     size is bounded by 2 dim nnz(H) + nnz(L)^2 + 2 dim nnz(L^T L) entries of
     12 B (a float64 value and an int32 column index) plus the row pointers, and
     a bound above ``LIOUVILLIAN_MAX_BYTES`` raises ValueError before any kron
-    product is formed.  H and L may be CSR matrices; otherwise they must be
-    real (ValueError otherwise)."""
+    product is formed.  H and L may be arrays, operators or sparse matrices,
+    and must be real (``_real_csr``; ValueError otherwise)."""
     h = _real_csr(hamiltonian, "hamiltonian")
     lop = _real_csr(lindblad_op, "lindblad_op")
     half_g = 0.5 * (lop.T @ lop)
@@ -363,11 +370,13 @@ class _CBasis:
     (a - b)/sqrt 2 for the first member a of each swapped pair and its partner
     b = P[a]: the first ``n_even`` span the C-even block (``blocks[0]``), the
     rest the C-odd one.  They are the rows of the real orthogonal matrix T.
-    ``part`` maps a sector matrix X that commutes with P exactly
-    (``commutes``) to the blocks of T X T^T, which it gathers from X; ``to_c``
-    maps any X to the whole of T X T^T, and ``to_sector`` maps back.  A
+    ``to_c`` maps a sector matrix X, array or CSR, to T X T^T, ``cut`` slices
+    the parts an engine steps out of it, and ``to_sector`` maps back.  For an
+    X that commutes with P exactly (``commutes``) T X T^T is block-diagonal
+    with exact zeros between the blocks: each of its entries sums at most two
+    products of two terms, and between the blocks these cancel exactly.  A
     P-symmetric diagonal reads ``d[order]`` in the C basis.  Without pairs T
-    is the identity and the maps return X as it is.
+    is the identity and ``to_c`` returns X as it is.
 
     ``parts`` and ``skipped`` say where an engine steps its state
     (``_engine_basis``): by default every nonempty block, none skipped.
@@ -387,13 +396,16 @@ class _CBasis:
 
     @functools.cached_property
     def t(self) -> scipy.sparse.csr_array:
+        # row by row: one entry per fixed point, (a, b) in each pair's two rows;
+        # int32 indices, as the operators have: a product with an int64 operand
+        # is int64, 16 B per entry instead of 12 in every cut and generator
         nf, na = len(self.f), len(self.a)
-        even, odd = nf + np.arange(na), self.n_even + np.arange(na)
-        half = np.full(na, np.sqrt(0.5))
-        rows = np.concatenate([np.arange(nf), even, even, odd, odd])
-        cols = np.concatenate([self.f, self.a, self.b, self.a, self.b])
-        data = np.concatenate([np.ones(nf), half, half, half, -half])
-        return scipy.sparse.csr_array((data, (rows, cols)), shape=(len(self.p),) * 2)
+        half = np.sqrt(0.5)
+        indptr = np.concatenate([np.arange(nf), nf + 2 * np.arange(2 * na + 1)]).astype(np.int32)
+        pairs = np.column_stack([self.a, self.b]).ravel()
+        indices = np.concatenate([self.f, pairs, pairs]).astype(np.int32)
+        data = np.concatenate([np.ones(nf), np.tile([half, half], na), np.tile([half, -half], na)])
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(len(self.p),) * 2)
 
     def commutes(self, x) -> bool:
         """X[P][:, P] == X exactly (P[d] == d for a diagonal d)."""
@@ -402,39 +414,16 @@ class _CBasis:
         x = np.asarray(x)
         return np.array_equal(x[np.ix_(self.p, self.p)] if x.ndim == 2 else x[self.p], x)
 
-    def block(self, x, k: int):
-        """Block k of T X T^T for an X (array or CSR matrix) that commutes with
-        P: the C-even one [[X_ff, sqrt 2 X_fa], [sqrt 2 X_af, X_aa + X_ab]]
-        (k = 0) or the C-odd one X_aa - X_ab (k = 1)."""
-        if self.identity:
-            return x[self.blocks[k], self.blocks[k]]
+    def to_c(self, x):
+        """T X T^T for an array or a CSR matrix X, of the same kind."""
+        return x if self.identity else self.t @ x @ self.t.T
 
-        def gather(rows, cols):
-            return x[np.ix_(rows, cols)]
-
-        x_aa, x_ab = gather(self.a, self.a), gather(self.a, self.b)
-        if k:
-            return x_aa - x_ab
-        grid = [[gather(self.f, self.f), np.sqrt(2.0) * gather(self.f, self.a)],
-                [np.sqrt(2.0) * gather(self.a, self.f), x_aa + x_ab]]
-        return scipy.sparse.block_array(grid, format="csr") if scipy.sparse.issparse(x) else np.block(grid)
-
-    def part(self, x, part: slice):
-        """The blocks of T X T^T in ``part`` for an X that commutes with P: one
-        block, or both on the diagonal of the whole basis with exact zeros
-        between them."""
-        if part in self.blocks:
-            return self.block(x, self.blocks.index(part))
-        even, odd = self.block(x, 0), self.block(x, 1)
-        if scipy.sparse.issparse(x):
-            return scipy.sparse.block_diag([even, odd], format="csr")
-        out = np.zeros(x.shape, dtype=x.dtype)
-        out[self.blocks[0], self.blocks[0]], out[self.blocks[1], self.blocks[1]] = even, odd
-        return out
-
-    def to_c(self, x: np.ndarray) -> np.ndarray:
-        """T X T^T for any array X."""
-        return x if self.identity else np.ascontiguousarray(self.t @ x @ self.t.T)
+    def cut(self, x) -> list:
+        """The stepped parts of T X T^T (C-contiguous for an array X): its
+        blocks for an X that commutes with P, or the whole of it."""
+        z = self.to_c(x)
+        return [z[part, part] if scipy.sparse.issparse(z) else np.ascontiguousarray(z[part, part])
+                for part in self.parts]
 
     def to_sector(self, z: np.ndarray) -> np.ndarray:
         """T^T Z T, the inverse of ``to_c``."""
@@ -451,7 +440,10 @@ def _engine_basis(hamiltonian, lindblad_op, rho0=None, diagonals=()) -> _CBasis:
     ``diagonals`` commute with it exactly, and the identity otherwise (and for
     plain arrays).  A rho0 that commutes with P too (None stands for 1/dim) is
     stepped block by block, and a block of it that is exactly zero is skipped;
-    any other is stepped as one matrix, on the whole C basis.
+    any other is stepped as one matrix, on the whole C basis.  This plan is
+    read off rho0 in the sector basis, before rho0 is decoded or mapped: for
+    an X that commutes with P the C-even block is zero when X (1 + P)/2 is,
+    X == -X[:, P], and the C-odd one when X (1 - P)/2 is, X == X[:, P].
     """
     h = _matrix_of(hamiltonian)
     c = _CBasis(getattr(hamiltonian, "conjugation", None), len(h))
@@ -461,18 +453,14 @@ def _engine_basis(hamiltonian, lindblad_op, rho0=None, diagonals=()) -> _CBasis:
         return c
     rho = _matrix_of(rho0)
     if rho.shape == h.shape and c.commutes(rho):
-        stepped = [part for part in c.parts if np.any(c.part(rho, part))]
+        swapped = rho[:, c.p]
+        zero = np.array_equal(rho, -swapped), np.array_equal(rho, swapped)
+        stepped = [part for part, empty in zip(c.blocks, zero) if not empty and part.stop > part.start]
         if stepped:
             c.parts, c.skipped = stepped, len(stepped) < len(c.parts)
             return c
     c.parts = [slice(0, len(h))]
     return c
-
-
-def _states_of(c: _CBasis, r0: np.ndarray) -> list:
-    """R0 on each stepped part of ``c``: a block when R0 commutes with P, the
-    whole T R0 T^T otherwise (``_engine_basis``)."""
-    return [c.part(r0, part) if part in c.blocks else c.to_c(r0) for part in c.parts]
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +733,11 @@ def rk4_evolve(
     n_steps = _step_count(t_max, dt)
     diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
     c = _engine_basis(hamiltonian, lop, rho0, diagonals)
-    r0 = _real_state_of(rho0)
-    states = _states_of(c, r0)
-    if not c.identity:  # gathered from CSR copies, the C-basis operands take no dense temporaries
+    states = c.cut(_real_state_of(rho0))
+    if not c.identity:  # cut from CSR copies, the C-basis operands take no dense temporaries
         h, lop = scipy.sparse.csr_array(h), scipy.sparse.csr_array(lop)
-    operands = [_real_operands(c.part(h, part), c.part(lop, part)) for part in c.parts]
-    del r0, h, lop  # the sector-basis copies go before the step buffers come
+    operands = [_real_operands(*ops) for ops in zip(c.cut(h), c.cut(lop))]
+    del h, lop  # the sector-basis copies go before the step buffers come
     threaded = [scipy.sparse.issparse(ops[0]) and ops[1].shape[0] >= RK4_THREADS_FROM_DIM
                 and _usable_cpus() > 1 for ops in operands]
     buffers = [np.empty((3,) + r.shape) for r in states]
@@ -813,9 +800,9 @@ def _block_generators(c: _CBasis, hamiltonian, lindblad_op) -> list:
     """H, L and L^T L / 2 as CSR matrices on each stepped part of ``c``, once
     the generator of every part is known to fit (``_liouvillian_terms``
     raises ValueError before any of them is assembled)."""
-    h = _real_csr(hamiltonian, "hamiltonian")
-    lop = _real_csr(lindblad_op, "lindblad_op")
-    return [_liouvillian_terms(c.part(h, part), c.part(lop, part)) for part in c.parts]
+    h = c.cut(_real_csr(hamiltonian, "hamiltonian"))
+    lop = c.cut(_real_csr(lindblad_op, "lindblad_op"))
+    return [_liouvillian_terms(*ops) for ops in zip(h, lop)]
 
 
 def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
@@ -827,9 +814,9 @@ def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     c = _engine_basis(hamiltonian, lindblad_op, rho0)
     terms = _block_generators(c, hamiltonian, lindblad_op)
-    r0 = _real_state_of(rho0)
-    r_t = np.zeros(r0.shape)
-    for part, r, (h, lop, _) in zip(c.parts, _states_of(c, r0), terms):
+    states = c.cut(_real_state_of(rho0))
+    r_t = np.zeros((len(c.p),) * 2)
+    for part, r, (h, lop, _) in zip(c.parts, states, terms):
         r_t[part, part] = _expm_multiply(vectorized_liouvillian(h, lop) * t, r.ravel()).reshape(r.shape)
     return DensityMatrix(_density_of_real(c.to_sector(r_t)))
 
@@ -864,7 +851,7 @@ def exact_evolve(
     diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
     c = _engine_basis(hamiltonian, lindblad_op, rho0, diagonals)
     lvs = [vectorized_liouvillian(h, lop) for h, lop, _ in _block_generators(c, hamiltonian, lindblad_op)]
-    states = _states_of(c, _real_state_of(rho0))
+    states = c.cut(_real_state_of(rho0))
     counters = {"steps": len(steps), "expm_multiply_calls": 0}
 
     def flow(lv, r):
@@ -956,12 +943,13 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     and ``c_even``, the same of the C-even block's, which holds the vacuum.
 
     With P = ``hamiltonian.conjugation`` (the identity for an operator without
-    one, or a plain array) H is mapped into the C basis of ``_CBasis``: its
-    C-even block holds P's fixed points and the (a + b)/sqrt 2 states, its
-    C-odd block the (a - b)/sqrt 2 states.  P must commute with H exactly,
-    H[P][:, P] == H (ValueError otherwise).  Each block is diagonalized on its
-    own (476 and 324 states instead of 800 at N = 8), with the Boltzmann
-    weights shifted by the lower of the two ground energies.
+    one, or a plain array) H is mapped into the C basis of ``_CBasis``,
+    T H T^T: its C-even block holds P's fixed points and the
+    (a + b)/sqrt 2 states, its C-odd block the (a - b)/sqrt 2 states.  P must
+    commute with H exactly, H[P][:, P] == H (ValueError otherwise).  Each
+    block is diagonalized on its own (476 and 324 states instead of 800 at
+    N = 8), with the Boltzmann weights shifted by the lower of the two ground
+    energies.
 
     Both observables must be diagonal in the sector basis (ValueError
     otherwise), so only the diagonal of each block's Gibbs state,
@@ -975,7 +963,8 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     c = _CBasis(getattr(hamiltonian, "conjugation", None), len(h))
     if not c.commutes(h):
         raise ValueError("the Hamiltonian does not commute with its conjugation")
-    (evals_even, vecs_even), (evals_odd, vecs_odd) = (np.linalg.eigh(c.part(h, part)) for part in c.blocks)
+    z = c.to_c(h)
+    (evals_even, vecs_even), (evals_odd, vecs_odd) = (np.linalg.eigh(z[part, part]) for part in c.blocks)
     ground = min(evals_even[0], evals_odd[0]) if len(evals_odd) else evals_even[0]
     w_even = np.exp(-beta * (evals_even - ground))
     w_odd = np.exp(-beta * (evals_odd - ground))

@@ -59,6 +59,15 @@ GIBBS_E2 = {
     8: 0.43769385838354147,
 }
 
+# the same of the C-even block's Gibbs state, the line the vacuum reaches
+# (the whole sector at N = 2, where P is the identity)
+GIBBS_E2_C_EVEN = {
+    2: 0.3564747014220561,
+    4: 0.42175544953969984,
+    6: 0.4362177163692257,
+    8: 0.4392655733092013,
+}
+
 # trajectories accumulated by criteria 4-8 and replayed by criterion 9
 TRAJECTORIES: list[tuple[str, str, object]] = []
 
@@ -296,6 +305,7 @@ def test_criterion_7_steady_state_thermalizes_approximately():
 
 def test_criterion_8_volume_sweep_converges_with_system_size():
     thermal = {}
+    thermal_c_even = {}
     records = {}
     wall = {}
     for n in (2, 4, 6, 8):
@@ -309,14 +319,21 @@ def test_criterion_8_volume_sweep_converges_with_system_size():
         wall[n] = time.perf_counter() - t0
         ref = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
         assert ref["e2"] == pytest.approx(GIBBS_E2[n], abs=1e-12)
+        assert ref["c_even"]["e2"] == pytest.approx(GIBBS_E2_C_EVEN[n], abs=1e-12)
         thermal[n] = ref["e2"]
+        thermal_c_even[n] = ref["c_even"]["e2"]
         records[n] = rec
         TRAJECTORIES.append((f"rk4 sweep N={n}", "rk4", rec))
 
-    # equilibrium values per volume (the reference lines the trajectories
-    # relax toward) approach each other as the volume grows
-    gaps = [abs(thermal[b] - thermal[a]) for a, b in ((2, 4), (4, 6), (6, 8))]
-    gaps_decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
+    # equilibrium values per volume approach each other as the volume grows:
+    # the whole sector's and the C-even block's, the line the vacuum relaxes
+    # toward
+    def decreasing_gaps(line):
+        gaps = [abs(line[b] - line[a]) for a, b in ((2, 4), (4, 6), (6, 8))]
+        return gaps, all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    gaps, gaps_decreasing = decreasing_gaps(thermal)
+    gaps_c_even, c_even_decreasing = decreasing_gaps(thermal_c_even)
 
     # and so do the trajectories themselves, uniformly in time
     distances = [
@@ -325,11 +342,12 @@ def test_criterion_8_volume_sweep_converges_with_system_size():
     ]
     distances_decreasing = all(b < a for a, b in zip(distances, distances[1:]))
 
-    ok = gaps_decreasing and distances_decreasing and wall[8] < 600.0
+    ok = gaps_decreasing and c_even_decreasing and distances_decreasing and wall[8] < 600.0
     _verdict(
         8,
         ok,
         "equilibrium gaps " + " > ".join(f"{g:.4f}" for g in gaps)
+        + ", C-even " + " > ".join(f"{g:.4f}" for g in gaps_c_even)
         + ", curve distances " + " > ".join(f"{d:.4f}" for d in distances)
         + f", N=8 in {wall[8]:.0f} s",
     )

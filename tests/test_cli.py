@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,32 @@ def test_states_skips_enumeration_at_large_volume(capsys):
     out = capsys.readouterr().out
     assert "closed form) = 1373466" in out
     assert "enumeration" not in out
+
+
+def test_states_counts_two_thousand_sites_within_a_second(capsys):
+    start = time.perf_counter()
+    assert run_cli(["states", "2000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    count = capsys.readouterr().out.split(" = ")[1].strip()
+    assert len(count) == 1023
+
+
+def test_states_past_the_printable_digit_limit_is_a_usage_error(capsys):
+    # at Python's default limit of 4300 digits the count is printable up to
+    # N = 8406; beyond, the reason is reported with exit 2, not as a failed
+    # numerical check
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run_cli(["states", "8406"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["states", "8407"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "too long to print" in err and "numerical check failed" not in err
 
 
 def test_states_sector_flag(capsys):

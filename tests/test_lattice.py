@@ -2,6 +2,7 @@
 
 import tracemalloc
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -85,6 +86,26 @@ def test_counting_is_exact_at_large_volume():
     value = count_physical_states(50)
     assert isinstance(value, int)
     assert value == 37495403206807318414369013
+
+
+def stars_and_bars_count(n_sites):
+    """Test-only oracle: the physical states at |flux| <= 1 counted by pair
+    number M.  M flux strings of odd length x_i and M zero-flux gaps of length
+    y_i >= 1 fill the 2N links; stars-and-bars counts the compositions, the
+    factor 2N/M removes the cyclic relabeling of the strings, and the three
+    uniform fluxes -1, 0, 1 are added at the end."""
+    nf = 2 * n_sites
+    total = 0
+    for m in range(1, n_sites + 1):
+        inner = sum(comb(m - 1 + k, m - 1) * comb(nf - 2 * k - m - 1, m - 1) for k in range(n_sites - m + 1))
+        assert nf * inner % m == 0
+        total += nf * inner // m
+    return total + 3
+
+
+def test_transfer_matrix_count_matches_the_stars_and_bars_sum():
+    for n_sites in range(1, 201):
+        assert count_physical_states(n_sites) == stars_and_bars_count(n_sites), n_sites
 
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4])

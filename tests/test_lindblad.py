@@ -417,6 +417,65 @@ def test_the_c_basis_path_matches_the_identity_path(n_sites, state, engine):
         assert result.counters["blocks"] == ([n_even] if state == "vacuum" else [ops.dim])
 
 
+@pytest.mark.parametrize("engine", sorted(C_BASIS_ENGINES) + ["gibbs_reference"])
+@pytest.mark.parametrize("hamiltonian", ["sector", "plain"])
+def test_csr_operators_give_the_array_run(hamiltonian, engine):
+    # L and both observables as CSR matrices, and H the sector operator (with
+    # its P) or a plain CSR matrix: the same numbers as the array run
+    _, _, ops, bath, lop = standard_setup(4)
+    rho0 = _pure(np.random.default_rng(5), ops.dim)
+    arrays = dict(pair_count=ops.pair_count.matrix, electric_square=ops.electric_square.matrix)
+    csr = {name: scipy.sparse.csr_array(m) for name, m in arrays.items()}
+    h = ops.hamiltonian if hamiltonian == "sector" else ops.hamiltonian.matrix
+    h_csr = ops.hamiltonian if hamiltonian == "sector" else scipy.sparse.csr_array(h)
+    if engine == "gibbs_reference":
+        expected = gibbs_reference(h, bath.beta, **arrays)
+        result = gibbs_reference(h_csr, bath.beta, **csr)
+        for key in ("n_pairs", "e2"):
+            assert abs(result[key] - expected[key]) <= 1e-14, key
+            assert abs(result["c_even"][key] - expected["c_even"][key]) <= 1e-14, key
+        return
+    expected = _columns(C_BASIS_ENGINES[engine](rho0, h, lop, arrays))
+    for name, column in _columns(C_BASIS_ENGINES[engine](rho0, h_csr, scipy.sparse.csr_array(lop), csr)).items():
+        assert np.max(np.abs(column - expected[name])) <= 1e-14, name
+
+
+def test_a_complex_csr_operator_is_refused_like_a_complex_array(n2_setup):
+    _, _, ops, _, lop = n2_setup
+    upper = np.triu(np.ones((ops.dim, ops.dim)), 1)
+    h = ops.hamiltonian.matrix + 1e-3j * (upper - upper.T)
+    for hamiltonian in (h, scipy.sparse.csr_array(h)):
+        with pytest.raises(ValueError, match="imaginary"):
+            vectorized_liouvillian(hamiltonian, lop)
+    # a complex dtype with a zero imaginary part is real
+    as_complex = scipy.sparse.csr_array(ops.hamiltonian.matrix.astype(complex))
+    assert np.array_equal(vectorized_liouvillian(as_complex, lop).toarray(),
+                          vectorized_liouvillian(ops.hamiltonian, lop).toarray())
+
+
+@pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "full"])
+@pytest.mark.parametrize("n_sites", [4, 5, 6, 7, 8])
+def test_t_x_t_is_block_diagonal_with_exact_zeros_between_the_blocks(n_sites, truncate):
+    # the premise of every C-basis cut: for H, L and both observables, which
+    # commute with P, T X T^T has nothing between its C-even and C-odd blocks
+    # (as an array, exact zeros; as CSR, no stored entry), and it is V^T X V
+    # of the test-side basis V to rounding; the CSR result keeps int32
+    # indices, 12 B per entry in every operand and generator cut from it
+    _, sector, ops, _, lop = standard_setup(n_sites, truncate=truncate)
+    c = lindblad._CBasis(sector.conjugation, ops.dim)
+    v = c_basis(sector.conjugation)
+    even, odd = c.blocks
+    assert even.stop > even.start and odd.stop > odd.start
+    for x in (ops.hamiltonian.matrix, lop, ops.pair_count.matrix, ops.electric_square.matrix):
+        expected = v.T @ x @ v
+        z_csr = c.to_c(scipy.sparse.csr_array(x))
+        assert z_csr.indices.dtype == z_csr.indptr.dtype == np.int32
+        assert z_csr[even, odd].nnz == z_csr[odd, even].nnz == 0
+        for z in (c.to_c(x), z_csr.toarray()):
+            assert not np.any(z[even, odd]) and not np.any(z[odd, even])
+            assert np.max(np.abs(z - expected)) <= 1e-15 * np.max(np.abs(x))
+
+
 @pytest.mark.parametrize("engine", sorted(C_BASIS_ENGINES))
 def test_a_rho0_off_c_symmetry_in_one_entry_is_stepped_as_one_matrix(engine):
     # at N = 4 P swaps states 4 and 5; a 1e-13 coherence between the vacuum
