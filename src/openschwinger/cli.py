@@ -33,7 +33,6 @@ from .lindblad import (
     DensityMatrix,
     EvolutionRecord,
     _block_generators,
-    _diagonal_of,
     _engine_basis,
     _step_count,
     build_lindblad_operator,
@@ -181,9 +180,9 @@ def _build_setup(args, methods: set):
     spec, params, ops = _operators_from(args)
     lop = build_lindblad_operator(ops.hamiltonian, ops.condensate, spec, params, bath)
     if "exact" in methods:
-        diagonals = _diagonal_of(ops.pair_count, "pair_count"), _diagonal_of(ops.electric_square, "electric_square")
+        observables = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
         try:
-            _block_generators(_engine_basis(ops.hamiltonian, lop, _vacuum(ops), diagonals), ops.hamiltonian, lop)
+            _block_generators(_engine_basis(ops.hamiltonian, lop, _vacuum(ops), observables), ops.hamiltonian, lop)
         except ValueError as exc:
             raise _UsageError(f"--method exact at N = {spec.n_sites}: {exc}") from None
     return spec, bath, ops, lop

@@ -16,11 +16,17 @@ the bath temperature.
 
 Three ways to evolve, each a step closure run by one trajectory driver; the
 recorded observables must be diagonal in the sector basis.  Every engine runs
-in the charge-conjugation (C) basis of ``_CBasis`` when H, L and both
-observables commute with the conjugation P that H carries, and steps a rho0
-that commutes with P block by block, skipping a block that is exactly zero.
+one plan, ``_engine_basis``: it checks the shapes of H, L, rho0 and the
+observables, runs in the charge-conjugation (C) basis of ``_CBasis`` when H,
+L and both observables commute with the conjugation P that H carries, steps
+a rho0 that commutes with P block by block, skipping a block that is exactly
+zero, and holds the observables' diagonals each stepped block's records read.
 H, L and the real state R0 of rho0 (below) all enter that basis the same
-way, as T X T^T sliced into the stepped blocks.  The engines:
+way, as T X T^T sliced into the stepped blocks: RK4 and the exact engine cut
+H and L from real CSR copies, the dilation and R0 from arrays, through the
+products of SciPy's T @ X @ T^T without its strided copies (``_sandwich``).
+``exact_propagate`` and ``steady_state`` map their blocks back and decode
+them in one step (``_CBasis.density``).  The engines:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
                       matrix products per right-hand side, sparse (CSR) when H
@@ -292,8 +298,8 @@ def build_lindblad_operator(
     builders guarantee; generally non-Hermitian because the commutator part is
     anti-Hermitian.
     """
-    h = _matrix_of(hamiltonian)
-    o = _diagonal_of(condensate, "condensate")
+    h = _checked(_matrix_of(hamiltonian), "hamiltonian")
+    o = _diagonal_of(condensate, "condensate", len(h))
     comm = h * o
     comm -= o[:, None] * h
     lop = np.diag(o)
@@ -314,13 +320,15 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian, lindblad_op) -> np.ndarray:
     )
 
 
-def _real_csr(op, name: str):
-    """An operator, array or sparse matrix as a real CSR matrix; a nonzero
-    imaginary part is refused with ValueError (``_real_matrix_of``)."""
-    if not scipy.sparse.issparse(op):
-        return scipy.sparse.csr_array(_real_matrix_of(op, name))
-    op = scipy.sparse.csr_array(op, copy=True)  # its index arrays are the result's
-    return scipy.sparse.csr_array((_real_matrix_of(op.data, name), op.indices, op.indptr), shape=op.shape)
+def _real_csr(op, name: str) -> scipy.sparse.csr_array:
+    """An operator, array or sparse matrix as a new real CSR matrix; a nonzero
+    imaginary part is refused with ValueError."""
+    m = op.matrix if isinstance(op, (HermitianOperator, DensityMatrix)) else op
+    m = scipy.sparse.csr_array(m, copy=True)  # shares no array with the input
+    if np.iscomplexobj(m.data) and np.any(m.data.imag):
+        raise ValueError(f"{name} must be real; got a nonzero imaginary part")
+    m.data = np.ascontiguousarray(m.data.real, dtype=float)
+    return m
 
 
 def _liouvillian_terms(hamiltonian, lindblad_op) -> tuple:
@@ -371,15 +379,17 @@ class _CBasis:
     b = P[a]: the first ``n_even`` span the C-even block (``blocks[0]``), the
     rest the C-odd one.  They are the rows of the real orthogonal matrix T.
     ``to_c`` maps a sector matrix X, array or CSR, to T X T^T, ``cut`` slices
-    the parts an engine steps out of it, and ``to_sector`` maps back.  For an
+    the parts an engine steps out of it, ``to_sector`` maps back, and
+    ``density`` decodes an engine's stepped states to rho there.  For an
     X that commutes with P exactly (``commutes``) T X T^T is block-diagonal
     with exact zeros between the blocks: each of its entries sums at most two
     products of two terms, and between the blocks these cancel exactly.  A
     P-symmetric diagonal reads ``d[order]`` in the C basis.  Without pairs T
     is the identity and ``to_c`` returns X as it is.
 
-    ``parts`` and ``skipped`` say where an engine steps its state
-    (``_engine_basis``): by default every nonempty block, none skipped.
+    ``parts`` and ``skipped`` say where an engine steps its state and
+    ``reads`` what its records read there (``_engine_basis``): by default
+    every nonempty block, none skipped, and no reads.
     """
 
     def __init__(self, p, dim: int):
@@ -393,6 +403,7 @@ class _CBasis:
         self.blocks = (slice(0, self.n_even), slice(self.n_even, dim))
         self.parts = [part for part in self.blocks if part.stop > part.start]
         self.skipped = False
+        self.reads = []
 
     @functools.cached_property
     def t(self) -> scipy.sparse.csr_array:
@@ -416,7 +427,9 @@ class _CBasis:
 
     def to_c(self, x):
         """T X T^T for an array or a CSR matrix X, of the same kind."""
-        return x if self.identity else self.t @ x @ self.t.T
+        if self.identity:
+            return x
+        return self.t @ x @ self.t.T if scipy.sparse.issparse(x) else _sandwich(self.t, x)
 
     def cut(self, x) -> list:
         """The stepped parts of T X T^T (C-contiguous for an array X): its
@@ -427,48 +440,86 @@ class _CBasis:
 
     def to_sector(self, z: np.ndarray) -> np.ndarray:
         """T^T Z T, the inverse of ``to_c``."""
-        return z if self.identity else np.ascontiguousarray(self.t.T @ z @ self.t)
+        return z if self.identity else np.ascontiguousarray(_sandwich(self.t.T, z))
+
+    def density(self, states) -> np.ndarray:
+        """rho in the sector basis of the real states R of the stepped parts:
+        zero outside them, mapped back (``to_sector``) and decoded, so
+        Hermitian bit for bit."""
+        r = np.zeros((len(self.p),) * 2)
+        for part, x in zip(self.parts, states):
+            r[part, part] = x
+        return _density_of_real(self.to_sector(r))
 
     def sizes(self) -> list:
         return [part.stop - part.start for part in self.parts]
 
 
-def _engine_basis(hamiltonian, lindblad_op, rho0=None, diagonals=()) -> _CBasis:
-    """The C basis an engine runs in, with the parts it steps rho0 in.
+def _sandwich(t, x: np.ndarray) -> np.ndarray:
+    """t X t^T for a sparse t and an array X, as (t (t X)^T)^T with one
+    C-contiguous copy: the products SciPy's ``t @ X @ t.T`` sums, in the same
+    order, so bit for bit its result, without the strided copies it makes for
+    the dense-times-sparse product (H at N = 8: 2.6 against 4.9 ms)."""
+    return (t @ np.ascontiguousarray((t @ x).T)).T
 
-    P is ``hamiltonian.conjugation`` when H, L and every diagonal in
-    ``diagonals`` commute with it exactly, and the identity otherwise (and for
-    plain arrays).  A rho0 that commutes with P too (None stands for 1/dim) is
-    stepped block by block, and a block of it that is exactly zero is skipped;
-    any other is stepped as one matrix, on the whole C basis.  This plan is
-    read off rho0 in the sector basis, before rho0 is decoded or mapped: for
-    an X that commutes with P the C-even block is zero when X (1 + P)/2 is,
-    X == -X[:, P], and the C-odd one when X (1 - P)/2 is, X == X[:, P].
+
+def _engine_basis(hamiltonian, lindblad_op, rho0=None, observables=None) -> _CBasis:
+    """The one plan every engine runs: the C basis, the parts it steps rho0
+    in and their record reads.
+
+    H must be square, and L, rho0 and every observable of ``observables``
+    ({name: operator}, each diagonal in the sector basis) dim x dim;
+    ValueError names the argument otherwise, before anything is cut.  P is
+    ``hamiltonian.conjugation`` when H, L and every observable commute with it
+    exactly, and the identity otherwise (and for plain arrays).  A rho0 that
+    commutes with P too (None stands for 1/dim) is stepped block by block, and
+    a block of it that is exactly zero is skipped; any other is stepped as one
+    matrix, on the whole C basis.  This plan is read off rho0 in the sector
+    basis, before rho0 is decoded or mapped: for an X that commutes with P the
+    C-even block is zero when X (1 + P)/2 is, X == -X[:, P], and the C-odd one
+    when X (1 - P)/2 is, X == X[:, P].  ``c.reads`` holds, per stepped part,
+    the observables' diagonals in the C basis, in the order of
+    ``observables``.
     """
-    h = _matrix_of(hamiltonian)
-    c = _CBasis(getattr(hamiltonian, "conjugation", None), len(h))
-    if not all(c.commutes(x) for x in (h, _matrix_of(lindblad_op), *diagonals)):
-        c = _CBasis(None, len(h))
-    if rho0 is None or c.identity:
-        return c
-    rho = _matrix_of(rho0)
-    if rho.shape == h.shape and c.commutes(rho):
-        swapped = rho[:, c.p]
-        zero = np.array_equal(rho, -swapped), np.array_equal(rho, swapped)
-        stepped = [part for part, empty in zip(c.blocks, zero) if not empty and part.stop > part.start]
-        if stepped:
-            c.parts, c.skipped = stepped, len(stepped) < len(c.parts)
-            return c
-    c.parts = [slice(0, len(h))]
+    h = _checked(_matrix_of(hamiltonian), "hamiltonian")
+    dim = len(h)
+    lop = _checked(_matrix_of(lindblad_op), "lindblad_op", dim)
+    rho = None if rho0 is None else _checked(_matrix_of(rho0), "rho0", dim)
+    diagonals = [_diagonal_of(op, name, dim) for name, op in (observables or {}).items()]
+    c = _CBasis(getattr(hamiltonian, "conjugation", None), dim)
+    if not all(c.commutes(x) for x in (h, lop, *diagonals)):
+        c = _CBasis(None, dim)
+    if rho is not None and not c.identity:
+        stepped = []
+        if c.commutes(rho):
+            swapped = rho[:, c.p]
+            zero = np.array_equal(rho, -swapped), np.array_equal(rho, swapped)
+            stepped = [part for part, empty in zip(c.blocks, zero) if not empty]
+        c.parts, c.skipped = stepped or [slice(0, dim)], len(stepped) == 1
+    c.reads = [tuple(d[c.order][part] for d in diagonals) for part in c.parts]
     return c
+
+
+def _real_blocks(c: _CBasis, hamiltonian, lindblad_op) -> zip:
+    """(H, L) on each stepped part of ``c``, cut from real CSR copies
+    (``_real_csr``): the operands of RK4 and the exact engine alike."""
+    return zip(c.cut(_real_csr(hamiltonian, "hamiltonian")), c.cut(_real_csr(lindblad_op, "lindblad_op")))
 
 
 # ---------------------------------------------------------------------------
 # trajectory driver
 # ---------------------------------------------------------------------------
 
-def _diagonal_of(op, name: str) -> np.ndarray:
-    m = _matrix_of(op)
+def _checked(m: np.ndarray, name: str, dim: int | None = None) -> np.ndarray:
+    """``m``, once it is a square matrix, of order ``dim`` when one is given;
+    ValueError naming ``name`` otherwise."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]):
+        raise ValueError(f"{name} must be {'square' if dim is None else f'{dim} x {dim}'}, got shape {m.shape}")
+    return m
+
+
+def _diagonal_of(op, name: str, dim: int) -> np.ndarray:
+    m = _checked(_matrix_of(op), name, dim)
     diag = np.diagonal(m)
     if np.count_nonzero(m) != np.count_nonzero(diag):
         raise ValueError(f"{name} must be diagonal in the sector basis")
@@ -502,23 +553,22 @@ def _density_of_real(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 
 def _run_trajectory(
-    c, states, step, n_steps, time_of, *, diagonals, stride=1, tolerances=None, buffer=None, counters=None,
+    c, states, step, n_steps, time_of, *, stride=1, tolerances=None, buffer=None, counters=None,
 ) -> EvolutionRecord:
     """The one record loop behind every engine.
 
     ``states`` are the real states R (module docstring) of the parts of the C
     basis ``c`` that the engine steps, and ``step(states, k)`` advances them to
     step k <= ``n_steps``.  Step 0, every ``stride``-th and the last step are
-    recorded at ``time_of(k)``.  Trace, purity and the observables with the
-    sector diagonals ``diagonals`` (pair count, E^2) are sums over the parts of
-    reads straight off R (diag rho = diag R and tr rho^2 = sum_ij R_ij^2).
+    recorded at ``time_of(k)``.  Trace, purity and the pair count and E^2
+    (``c.reads``) are sums over the parts of reads straight off R
+    (diag rho = diag R and tr rho^2 = sum_ij R_ij^2).
     ``min_eig`` is the least eigenvalue over the parts, and 0 when a block was
     skipped; only it decodes rho, into the flat complex ``buffer`` (a new one
     when None).  With ``tolerances`` (``trace_tol``, ``psd_tol``) every row
     but the first is checked.  The record carries ``counters`` and the number
     of records and stepped block sizes.
     """
-    reads = [tuple(d[c.order][part] for d in diagonals) for part in c.parts]
     if buffer is None:
         buffer = np.empty(max(r.size for r in states), dtype=complex)
     rows = []
@@ -528,7 +578,7 @@ def _run_trajectory(
         if k % stride and k != n_steps:
             continue
         sums, eigs = [], [0.0] if c.skipped else []
-        for r, (pairs_diag, e2_diag) in zip(states, reads):
+        for r, (pairs_diag, e2_diag) in zip(states, c.reads):
             diag = np.diagonal(r)
             sums.append((float(np.sum(diag)), float(pairs_diag @ diag), float(e2_diag @ diag),
                          float(np.vdot(r, r))))
@@ -561,29 +611,16 @@ def _step_count(t_max: float, dt: float) -> int:
     return n_steps
 
 
-def _real_matrix_of(op, name: str) -> np.ndarray:
-    m = _matrix_of(op)
-    if np.iscomplexobj(m) and np.any(m.imag):
-        raise ValueError(f"{name} must be real; got a nonzero imaginary part")
-    return np.ascontiguousarray(m.real, dtype=float)
-
-
 def _real_operands(h, lop) -> tuple:
-    """[H; L] (H stacked on L), L and L^T / 2 for ``_real_rhs``, from arrays
-    or CSR matrices: CSR matrices when fewer than ``RK4_SPARSE_BELOW`` of the
-    entries of H and L are nonzero, C-contiguous arrays otherwise.  Halving is
-    exact, so products with L^T / 2 are bit for bit half the products with
-    L^T."""
-    if scipy.sparse.issparse(h):
-        stacked = scipy.sparse.vstack([h, lop], format="csr")
-        if stacked.nnz < RK4_SPARSE_BELOW * stacked.shape[0] * stacked.shape[1]:
-            return stacked, lop, (0.5 * lop.T).tocsr()
-        h, lop = h.toarray(), lop.toarray()
-    stacked = np.vstack([h, lop])
-    half_lop_t = 0.5 * lop.T
-    if np.count_nonzero(stacked) < RK4_SPARSE_BELOW * stacked.size:
-        return tuple(scipy.sparse.csr_array(m) for m in (stacked, lop, half_lop_t))
-    return stacked, lop, np.ascontiguousarray(half_lop_t)
+    """[H; L] (H stacked on L), L and L^T / 2 for ``_real_rhs``, from CSR
+    matrices: CSR matrices when fewer than ``RK4_SPARSE_BELOW`` of the entries
+    of H and L are nonzero, C-contiguous arrays otherwise.  Halving is exact,
+    so products with L^T / 2 are bit for bit half the products with L^T."""
+    stacked = scipy.sparse.vstack([h, lop], format="csr")
+    if stacked.nnz < RK4_SPARSE_BELOW * stacked.shape[0] * stacked.shape[1]:
+        return stacked, lop, (0.5 * lop.T).tocsr()
+    lop = lop.toarray()
+    return stacked.toarray(), lop, np.ascontiguousarray(0.5 * lop.T)
 
 
 def _real_rhs(stacked, lop, half_lop_t):
@@ -724,20 +761,14 @@ def rk4_evolve(
     A rho0 whose Hermiticity error exceeds 1e-10 is refused with ValueError
     (see ``_real_state_of``).
     """
-    h = _real_matrix_of(hamiltonian, "hamiltonian")
-    lop = _real_matrix_of(lindblad_op, "lindblad_op")
     if dt <= 0 or t_max < 0:
         raise ValueError("need dt > 0 and t_max >= 0")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = _step_count(t_max, dt)
-    diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
-    c = _engine_basis(hamiltonian, lop, rho0, diagonals)
+    c = _engine_basis(hamiltonian, lindblad_op, rho0, dict(pair_count=pair_count, electric_square=electric_square))
+    operands = [_real_operands(*ops) for ops in _real_blocks(c, hamiltonian, lindblad_op)]
     states = c.cut(_real_state_of(rho0))
-    if not c.identity:  # cut from CSR copies, the C-basis operands take no dense temporaries
-        h, lop = scipy.sparse.csr_array(h), scipy.sparse.csr_array(lop)
-    operands = [_real_operands(*ops) for ops in zip(c.cut(h), c.cut(lop))]
-    del h, lop  # the sector-basis copies go before the step buffers come
     threaded = [scipy.sparse.issparse(ops[0]) and ops[1].shape[0] >= RK4_THREADS_FROM_DIM
                 and _usable_cpus() > 1 for ops in operands]
     buffers = [np.empty((3,) + r.shape) for r in states]
@@ -771,8 +802,8 @@ def rk4_evolve(
                 for ops, two, r in zip(operands, threaded, states)]
         counters = {"steps": n_steps, "rhs_evaluations": 4 * n_steps * len(states),
                     "two_thread": any(threaded)}
-        return _run_trajectory(c, states, step, n_steps, lambda k: k * dt, diagonals=diagonals,
-                               stride=stride, buffer=rho, counters=counters)
+        return _run_trajectory(c, states, step, n_steps, lambda k: k * dt, stride=stride, buffer=rho,
+                               counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +831,7 @@ def _block_generators(c: _CBasis, hamiltonian, lindblad_op) -> list:
     """H, L and L^T L / 2 as CSR matrices on each stepped part of ``c``, once
     the generator of every part is known to fit (``_liouvillian_terms``
     raises ValueError before any of them is assembled)."""
-    h = c.cut(_real_csr(hamiltonian, "hamiltonian"))
-    lop = c.cut(_real_csr(lindblad_op, "lindblad_op"))
-    return [_liouvillian_terms(*ops) for ops in zip(h, lop)]
+    return [_liouvillian_terms(*ops) for ops in _real_blocks(c, hamiltonian, lindblad_op)]
 
 
 def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
@@ -815,10 +844,10 @@ def exact_propagate(rho0, hamiltonian, lindblad_op, t: float) -> DensityMatrix:
     c = _engine_basis(hamiltonian, lindblad_op, rho0)
     terms = _block_generators(c, hamiltonian, lindblad_op)
     states = c.cut(_real_state_of(rho0))
-    r_t = np.zeros((len(c.p),) * 2)
-    for part, r, (h, lop, _) in zip(c.parts, states, terms):
-        r_t[part, part] = _expm_multiply(vectorized_liouvillian(h, lop) * t, r.ravel()).reshape(r.shape)
-    return DensityMatrix(_density_of_real(c.to_sector(r_t)))
+    return DensityMatrix(c.density(
+        _expm_multiply(vectorized_liouvillian(h, lop) * t, r.ravel()).reshape(r.shape)
+        for r, (h, lop, _) in zip(states, terms)
+    ))
 
 
 def exact_evolve(
@@ -848,8 +877,7 @@ def exact_evolve(
     steps = np.diff(times)
     if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-12 * max(1.0, times[-1]))):
         raise ValueError("time grid must be uniform and increasing")
-    diagonals = _diagonal_of(pair_count, "pair_count"), _diagonal_of(electric_square, "electric_square")
-    c = _engine_basis(hamiltonian, lindblad_op, rho0, diagonals)
+    c = _engine_basis(hamiltonian, lindblad_op, rho0, dict(pair_count=pair_count, electric_square=electric_square))
     lvs = [vectorized_liouvillian(h, lop) for h, lop, _ in _block_generators(c, hamiltonian, lindblad_op)]
     states = c.cut(_real_state_of(rho0))
     counters = {"steps": len(steps), "expm_multiply_calls": 0}
@@ -868,7 +896,7 @@ def exact_evolve(
     flows = [flow(lv, r) for lv, r in zip(lvs, states)]
     return _run_trajectory(
         c, states, lambda rs, k: [next(f).reshape(r.shape) for f, r in zip(flows, rs)], len(steps),
-        times.__getitem__, diagonals=diagonals, counters=counters,
+        times.__getitem__, counters=counters,
     )
 
 
@@ -907,11 +935,10 @@ def steady_state(hamiltonian, lindblad_op) -> DensityMatrix:
                 f"steady state for dim {dim} needs the LU factors of an order-{d**2} "
                 f"generator (> {STEADY_STATE_MAX_ORDER}); run rk4_evolve to late times instead"
             )
-    r = np.zeros((dim, dim))
-    for part, (h, lop, _) in zip(c.parts, _block_generators(c, hamiltonian, lindblad_op)):
-        d = part.stop - part.start
-        r[part, part] = _block_steady_state(vectorized_liouvillian(h, lop), d) * (d / dim)
-    return DensityMatrix(_density_of_real(c.to_sector(r)))
+    return DensityMatrix(c.density(
+        _block_steady_state(vectorized_liouvillian(h, lop), d) * (d / dim)
+        for d, (h, lop, _) in zip(c.sizes(), _block_generators(c, hamiltonian, lindblad_op))
+    ))
 
 
 def _block_steady_state(lv, d: int) -> np.ndarray:
@@ -951,16 +978,19 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     N = 8), with the Boltzmann weights shifted by the lower of the two ground
     energies.
 
-    Both observables must be diagonal in the sector basis (ValueError
-    otherwise), so only the diagonal of each block's Gibbs state,
-    sum_k w_k |v_k|^2 over its eigenvectors v_k, is formed; it meets the
-    observable's diagonal made P-symmetric, (d + d[P]) / 2, in the C basis.
-    A negative or non-finite beta is refused with ValueError.
+    H must be square and both observables of its size and diagonal in the
+    sector basis (ValueError otherwise, before H is mapped), so only the
+    diagonal of each block's Gibbs state, sum_k w_k |v_k|^2 over its
+    eigenvectors v_k, is formed; it meets the observable's diagonal made
+    P-symmetric, (d + d[P]) / 2, in the C basis.  A negative or non-finite
+    beta is refused with ValueError.
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    h = _matrix_of(hamiltonian)
-    c = _CBasis(getattr(hamiltonian, "conjugation", None), len(h))
+    h = _checked(_matrix_of(hamiltonian), "hamiltonian")
+    dim = len(h)
+    diagonals = _diagonal_of(pair_count, "pair_count", dim), _diagonal_of(electric_square, "electric_square", dim)
+    c = _CBasis(getattr(hamiltonian, "conjugation", None), dim)
     if not c.commutes(h):
         raise ValueError("the Hamiltonian does not commute with its conjugation")
     z = c.to_c(h)
@@ -974,12 +1004,10 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     z_even = w_even.sum()
     z = z_even + w_odd.sum()
 
-    def means(op, name):
-        d = _diagonal_of(op, name)
+    def means(d):
         d = (0.5 * (d + d[c.p]))[c.order]
         in_even = occ_even @ d[c.blocks[0]]
         return float((in_even + occ_odd @ d[c.blocks[1]]) / z), float(in_even / z_even)
 
-    n_pairs, n_pairs_even = means(pair_count, "pair_count")
-    e2, e2_even = means(electric_square, "electric_square")
+    (n_pairs, n_pairs_even), (e2, e2_even) = map(means, diagonals)
     return {"beta": beta, "n_pairs": n_pairs, "e2": e2, "c_even": {"n_pairs": n_pairs_even, "e2": e2_even}}

@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .lattice import GaugeFermionConfig, LatticeSpec, SymmetrySector, _index_in, flux_codes
 
@@ -96,7 +97,8 @@ def matrix_from_json(text: str) -> tuple[np.ndarray, str]:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense Hermitian matrix tagged with the basis it lives in.
+    """A Hermitian matrix, an array or a SciPy sparse matrix, tagged with the
+    basis it lives in.
 
     ``conjugation``, when given, is a permutation of the basis that squares
     to the identity and is claimed to commute with the matrix: the charge
@@ -111,18 +113,21 @@ class HermitianOperator:
     conjugation: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
+        m = self.matrix if scipy.sparse.issparse(self.matrix) else np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         adjoint = m.conj().T
-        # the comparison alone settles the exactly Hermitian matrices the builders make
-        if not np.array_equal(m, adjoint) and (err := np.abs(m - adjoint).max()) > HERMITICITY_TOL:
+        if scipy.sparse.issparse(m):
+            err = abs(m - adjoint).max() if m.nnz else 0.0
+        else:  # the comparison alone settles the exactly Hermitian arrays the assemblies make
+            err = 0.0 if np.array_equal(m, adjoint) else np.abs(m - adjoint).max()
+        if err > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {err:.3e}")
         if self.conjugation is not None:
-            p = np.asarray(self.conjugation)
-            if not (p.shape == (len(m),) and np.issubdtype(p.dtype, np.integer)
-                    and np.all((p >= 0) & (p < len(m))) and np.array_equal(p[p], np.arange(len(m)))):
-                raise ValueError(f"conjugation must be an involution of range({len(m)})")
+            p, dim = np.asarray(self.conjugation), m.shape[0]
+            if not (p.shape == (dim,) and np.issubdtype(p.dtype, np.integer)
+                    and np.all((p >= 0) & (p < dim)) and np.array_equal(p[p], np.arange(dim))):
+                raise ValueError(f"conjugation must be an involution of range({dim})")
 
     @property
     def dim(self) -> int:

@@ -36,7 +36,7 @@ from openschwinger import (
     steady_state,
     vectorized_liouvillian,
 )
-from openschwinger import lindblad
+from openschwinger import cli, dilation, lindblad
 from openschwinger.operators import build_hamiltonian
 
 # thermal reference on the 4-state space at beta=0.1, a=e=1, m=0.1, frozen
@@ -440,6 +440,99 @@ def test_csr_operators_give_the_array_run(hamiltonian, engine):
         assert np.max(np.abs(column - expected[name])) <= 1e-14, name
 
 
+# per engine, the arguments it takes that a mis-shaped value is tried for
+_SHAPED = ("hamiltonian", "lindblad_op", "electric_square", "rho0", "rho0 1-D")
+ENGINE_ARGUMENTS = {
+    "rk4_evolve": _SHAPED,
+    "exact_evolve": _SHAPED,
+    "dilation_evolve": _SHAPED,
+    "exact_propagate": ("hamiltonian", "lindblad_op", "rho0", "rho0 1-D"),
+    "steady_state": ("hamiltonian", "lindblad_op"),
+    "gibbs_reference": ("hamiltonian", "electric_square"),
+}
+
+
+@pytest.mark.parametrize("engine, argument", [(e, a) for e, args in ENGINE_ARGUMENTS.items() for a in args])
+def test_a_mis_shaped_argument_is_refused_by_name(engine, argument):
+    # N = 4 (dim 18): an L or E^2 of size 19 whose extra row holds 5.0 must
+    # not be sliced to 18 x 18 and run on the identity basis, and a rho0 of
+    # the wrong size or shape must not fail late in a product or an index
+    _, _, ops, bath, lop = standard_setup(4)
+    dim, name = ops.dim, argument.split()[0]
+    grown_lop = np.zeros((dim + 1, dim + 1))
+    grown_lop[:dim, :dim] = lop
+    grown_lop[dim] = 5.0
+    args = {"hamiltonian": ops.hamiltonian, "lindblad_op": lop, "rho0": DensityMatrix.pure_state(dim, 0),
+            "electric_square": ops.electric_square}
+    args[name] = {
+        "hamiltonian": ops.hamiltonian.matrix[:, :-1],
+        "lindblad_op": grown_lop,
+        "electric_square": np.diag(np.append(np.diag(ops.electric_square.matrix), 5.0)),
+        "rho0": DensityMatrix.pure_state(dim + 1, 0),
+        "rho0 1-D": np.full(dim, 1.0 / dim),
+    }[argument]
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        if engine == "gibbs_reference":
+            gibbs_reference(args["hamiltonian"], bath.beta, ops.pair_count, args["electric_square"])
+        else:
+            kw = dict(pair_count=ops.pair_count, electric_square=args["electric_square"])
+            C_BASIS_ENGINES[engine](args["rho0"], args["hamiltonian"], args["lindblad_op"], kw)
+
+
+def test_the_timed_seams_are_called_through_their_modules(monkeypatch, tmp_path):
+    # perfbench times these module attributes by wrapping them, so every
+    # engine must call them there: one generator per stepped part, one cycle
+    # propagator per part and one cycle per cycle and part; the CLI's exact
+    # pre-check sizes the generators but builds none
+    _, _, ops, _, lop = standard_setup(4)
+    calls = {}
+    seams = ((lindblad, "vectorized_liouvillian"), (lindblad, "_liouvillian_terms"),
+             (dilation, "cycle_propagator"), (dilation, "dilation_cycle"))
+    for module, name in seams:
+        def counted(*args, _call=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    mixed = np.eye(ops.dim) / ops.dim  # both C blocks occupied
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
+    for run in (lambda: exact_evolve(mixed, ops.hamiltonian, lop, np.arange(3) * 0.1, **kw),
+                lambda: exact_propagate(mixed, ops.hamiltonian, lop, 0.1),
+                lambda: steady_state(ops.hamiltonian, lop)):
+        calls.clear()
+        run()
+        assert calls.get("vectorized_liouvillian") == 2
+    calls.clear()
+    rec = dilation_evolve(mixed, ops.hamiltonian, lop, 0.3, 3, **kw)
+    assert rec.counters["blocks"] == [16, 2]
+    assert calls == {"cycle_propagator": 2, "dilation_cycle": 6}
+    calls.clear()
+    args = cli.build_parser().parse_args(["evolve", "--n-sites", "4", "--method", "exact", "-o",
+                                          str(tmp_path / "x.csv")])
+    cli._build_setup(args, {"exact"})
+    assert calls == {"_liouvillian_terms": 1}
+
+
+def test_a_csr_sector_hamiltonian_carries_its_conjugation():
+    # a CSR H with P: the N = 4 vacuum is stepped in its C-even block and
+    # gives the dense operator's run bit for bit
+    _, sector, ops, _, lop = standard_setup(4)
+    h = ops.hamiltonian.matrix
+    csr = HermitianOperator(scipy.sparse.csr_array(h), ops.hamiltonian.basis_tag, sector.conjugation)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=5)
+    records = [rk4_evolve(rho0, op, lop, 0.5, 0.01, **kw) for op in (csr, ops.hamiltonian)]
+    assert records[0].counters == records[1].counters
+    assert records[0].counters["blocks"] == [16]
+    for name in ("times", "n_pairs", "e2", "trace", "purity", "min_eig"):
+        assert np.array_equal(getattr(records[0], name), getattr(records[1], name)), name
+    # refused with the messages an array gets
+    upper = np.triu(np.ones_like(h), 1)
+    for bad, match in ((h + 1e-3 * upper, "not Hermitian"), (np.ones((3, 4)), "square")):
+        for m in (bad, scipy.sparse.csr_array(bad)):
+            with pytest.raises(ValueError, match=match):
+                HermitianOperator(m, "test")
+
+
 def test_a_complex_csr_operator_is_refused_like_a_complex_array(n2_setup):
     _, _, ops, _, lop = n2_setup
     upper = np.triu(np.ones((ops.dim, ops.dim)), 1)
@@ -451,6 +544,18 @@ def test_a_complex_csr_operator_is_refused_like_a_complex_array(n2_setup):
     as_complex = scipy.sparse.csr_array(ops.hamiltonian.matrix.astype(complex))
     assert np.array_equal(vectorized_liouvillian(as_complex, lop).toarray(),
                           vectorized_liouvillian(ops.hamiltonian, lop).toarray())
+
+
+@pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "full"])
+@pytest.mark.parametrize("n_sites", [4, 6, 8])
+def test_the_dense_c_maps_are_scipys_products_bit_for_bit(n_sites, truncate):
+    # to_c and to_sector on arrays skip SciPy's strided copies, not a product
+    _, sector, ops, _, lop = standard_setup(n_sites, truncate=truncate)
+    c = lindblad._CBasis(sector.conjugation, ops.dim)
+    t = c.t
+    for x in (ops.hamiltonian.matrix, lop, np.random.default_rng(n_sites).normal(size=(ops.dim, ops.dim))):
+        assert np.array_equal(c.to_c(x), t @ x @ t.T)
+        assert np.array_equal(c.to_sector(x), t.T @ x @ t)
 
 
 @pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "full"])
@@ -725,7 +830,7 @@ def test_records_read_off_r_match_the_density_matrix_diagnostics(engine, monkeyp
 def test_both_operand_branches_compute_the_lindblad_generator(n_sites, sparse):
     # N = 4 (dim 18) takes the dense operands, N = 6 (dim 109) the CSR ones
     _, _, ops, _, lop = standard_setup(n_sites)
-    operands = lindblad._real_operands(ops.hamiltonian.matrix, lop)
+    operands = lindblad._real_operands(*map(scipy.sparse.csr_array, (ops.hamiltonian.matrix, lop)))
     assert all(scipy.sparse.issparse(m) == sparse for m in operands)
     rhs = lindblad._real_rhs(*operands)
     rng = np.random.default_rng(n_sites)
@@ -791,7 +896,8 @@ def test_rk4_step_allocates_a_fixed_working_set():
 
 def test_csr_product_is_the_scipy_product_bit_for_bit():
     _, _, ops, _, lop = standard_setup(6)
-    stacked, lop_csr, half_lop_t = lindblad._real_operands(ops.hamiltonian.matrix, lop)
+    operands = map(scipy.sparse.csr_array, (ops.hamiltonian.matrix, lop))
+    stacked, lop_csr, half_lop_t = lindblad._real_operands(*operands)
     x = np.random.default_rng(5).normal(size=(ops.dim, ops.dim))
     out = np.full((2 * ops.dim, ops.dim), np.nan)
     for a in (stacked, lop_csr, half_lop_t):
@@ -836,7 +942,7 @@ def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
     # interpreter switching threads every microsecond and a third thread
     # competing for the lock, every call must still give the serial dR/dt
     _, _, ops, _, lop = n7_setup
-    operands = lindblad._real_operands(ops.hamiltonian.matrix, lop)
+    operands = lindblad._real_operands(*map(scipy.sparse.csr_array, (ops.hamiltonian.matrix, lop)))
     serial = lindblad._real_rhs(*operands)
     rng = np.random.default_rng(11)
     stop = threading.Event()
