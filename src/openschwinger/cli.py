@@ -264,9 +264,13 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
     """The CSV of ``record`` and its JSON sidecar: the run's config, the Gibbs
     reference (full sector and C-even block), the worst invariant values over
     all rows, the last row's distance from both Gibbs lines, the engine's
-    counters (``EvolutionRecord.counters``) and its wall time."""
+    counters (``EvolutionRecord.counters``), its wall time, and the seconds by
+    phase: the record's ``timings`` and ``write_s``, the time taken to write
+    the CSV."""
+    start = time.perf_counter()
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(record.to_csv())
+    timings = {**record.timings, "write_s": time.perf_counter() - start}
     sidecar = {
         "config": config,
         "gibbs_reference": gibbs,
@@ -286,18 +290,25 @@ def _write_outputs(out: Path, record: EvolutionRecord, config: dict, gibbs: dict
         },
         "counters": record.counters,
         "wall_time_s": elapsed,
+        "timings": timings,
     }
     _sidecar_path(out).write_text(json.dumps(sidecar, indent=1))
 
 
 def _run_and_write(args, out: Path):
     """Build, run ``args.method`` and write the CSV and its sidecar to ``out``:
-    the one run path of ``evolve`` and ``sweep``."""
+    the one run path of ``evolve`` and ``sweep``.  The record's ``timings``
+    gain ``setup_s``, the seconds spent on the operators and the Gibbs
+    reference; ``elapsed`` is the engine call's wall time."""
+    t0 = time.perf_counter()
     spec, bath, ops, lop = _build_setup(args, {args.method})
+    setup = time.perf_counter() - t0
     t0 = time.perf_counter()
     record = _run_method(args, args.method, ops, lop)
     elapsed = time.perf_counter() - t0
+    t0 = time.perf_counter()
     gibbs = gibbs_reference(ops.hamiltonian, bath.beta, ops.pair_count, ops.electric_square)
+    record.timings["setup_s"] = setup + time.perf_counter() - t0
     _write_outputs(out, record, _config_dict(args, args.method, spec, bath), gibbs, elapsed)
     return ops, lop, record, gibbs, elapsed
 

@@ -151,7 +151,8 @@ def test_evolve_writes_csv_and_sidecar(tmp_path):
     assert sidecar["config"]["dt"] == 0.01
     assert sidecar["config"]["truncate_total_flux"] is True
     assert sidecar["gibbs_reference"]["beta"] == pytest.approx(0.1)
-    assert set(sidecar) == {"config", "gibbs_reference", "invariants", "thermal_gap", "counters", "wall_time_s"}
+    assert set(sidecar) == {"config", "gibbs_reference", "invariants", "thermal_gap", "counters", "wall_time_s",
+                            "timings"}
     # the blocks summarize the rows of the CSV, which round-trip exactly
     assert sidecar["invariants"]["max_trace_error"] == np.max(np.abs(rec.trace - 1.0))
     assert sidecar["invariants"]["min_eig"] == np.min(rec.min_eig)
@@ -177,6 +178,21 @@ def test_a_vacuum_run_reports_its_one_stepped_block(tmp_path, method, evaluation
                     "--n-cycles", "10", "-o", str(out)]) == 0
     counters = json.loads((tmp_path / "run.json").read_text())["counters"]
     assert counters == {"two_thread": False, "steps": 10, **evaluations, "records": 11, "blocks": [16]}
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact", "dilation"])
+def test_the_sidecar_times_each_phase_of_a_run(tmp_path, method):
+    # the engine's steps and records fall inside its wall time; setup and the
+    # CSV write are timed around it
+    out = tmp_path / "run.csv"
+    assert run_cli(["evolve", "--n-sites", "4", "--method", method, "--t-max", "0.1", "--dt", "0.01",
+                    "--n-cycles", "10", "-o", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "run.json").read_text())
+    timings = sidecar["timings"]
+    assert set(timings) == {"setup_s", "steps_s", "records_s", "write_s"}
+    assert all(seconds > 0 for seconds in timings.values())
+    assert timings["steps_s"] + timings["records_s"] <= sidecar["wall_time_s"]
+    assert "steps_s" not in sidecar["counters"]
 
 
 @pytest.mark.parametrize("flags, dim, truncated", [([], 4, True), (["--full-flux"], 5, False)],
@@ -211,6 +227,7 @@ def test_sidecar_reports_the_worst_invariants_and_the_thermal_gap(tmp_path):
         "t": 1.0, "e2": 0.25, "n_pairs": -0.25, "c_even": {"e2": 0.125, "n_pairs": 0.25},
     }
     assert sidecar["wall_time_s"] == 1.5
+    assert set(sidecar["timings"]) == {"write_s"}  # a record made by hand carries no timings
     assert EvolutionRecord.from_csv(out.read_text()).trace[1] == rec.trace[1]
 
 

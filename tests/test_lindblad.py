@@ -786,6 +786,20 @@ def test_real_state_decodes_to_an_exactly_hermitian_matrix():
     assert np.array_equal(rho.imag, 0.5 * (r - r.T))
 
 
+def _records_decoding(monkeypatch) -> list:
+    """Keep a copy of every rho a record decodes."""
+    decoded = []
+    decode = lindblad._density_of_real
+
+    def keep(r, out=None):
+        rho = decode(r, out)
+        decoded.append(rho.copy())
+        return rho
+
+    monkeypatch.setattr(lindblad, "_density_of_real", keep)
+    return decoded
+
+
 @pytest.mark.parametrize("engine", ["rk4_evolve", "exact_evolve", "dilation_evolve"])
 def test_records_read_off_r_match_the_density_matrix_diagnostics(engine, monkeypatch):
     # every row against the DensityMatrix diagnostics of the rho its min_eig
@@ -796,19 +810,12 @@ def test_records_read_off_r_match_the_density_matrix_diagnostics(engine, monkeyp
     v = c_basis(sector.conjugation)
     rho0 = random_density(np.random.default_rng(3), ops.dim)
     rho0 = 0.5 * (rho0 + rho0.conj().T)
-    decoded = []
-
-    def keep(r, out=None):
-        rho = decode(r, out)
-        decoded.append(rho.copy())
-        return rho
 
     class Refused:
         def __init__(self, matrix):
             raise AssertionError("DensityMatrix built in the record loop")
 
-    decode = lindblad._density_of_real
-    monkeypatch.setattr(lindblad, "_density_of_real", keep)
+    decoded = _records_decoding(monkeypatch)
     monkeypatch.setattr(lindblad, "DensityMatrix", Refused)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
     rec = {"rk4_evolve": lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.5, 0.01, stride=10, **kw),
@@ -874,8 +881,8 @@ def test_rk4_matches_a_plain_complex_rk4_in_the_sparse_branch():
 def test_rk4_step_allocates_a_fixed_working_set():
     # N = 7 (dim 284, CSR operands): the peak of traced allocations is the
     # same for 2 and 20 steps, so no step leaves temporaries behind, and stays
-    # within 14 real dim x dim arrays (state, four step buffers, the complex
-    # record buffer and the products of one right-hand side)
+    # within 14 real dim x dim arrays (state, the two registers that also hold
+    # each record's rho, and the products of one right-hand side)
     _, _, ops, _, lop = standard_setup(7)
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
@@ -957,8 +964,7 @@ def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
     spinner.start()
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            spare = np.empty((ops.dim, 2 * ops.dim))
-            threaded = lindblad._threaded_real_rhs(*operands, pool, spare)
+            threaded = lindblad._threaded_real_rhs(*operands, pool)
             for _ in range(10):
                 r = rng.normal(size=(ops.dim, ops.dim))
                 assert np.array_equal(threaded(r, np.empty_like(r)), serial(r, np.empty_like(r)))
@@ -997,6 +1003,117 @@ def test_no_worker_thread_outlives_an_rk4_call(n7_setup, monkeypatch):
         rk4_evolve(rho0, ops.hamiltonian, lop, t_max=50.0, dt=5.0, **kw)
     assert threading.active_count() == before
     assert len(built) == 2
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# what a stepped part may hold besides its 7 d^2 floats (R, two registers and
+# the four buffers of a two-thread right-hand side): the CSR operands, the
+# observables' diagonals and the record rows, 0.37 MiB at N = 8
+RK4_MEMORY_SLACK = 2**19
+
+
+def test_rk4_holds_seven_arrays_of_a_state_spanning_both_blocks(n7_setup, monkeypatch):
+    # a random state at N = 7 is stepped as one matrix of dim 284, on the
+    # two-thread path, and nothing else of that size stays alive
+    _, _, ops, _, lop = n7_setup
+    rho0 = random_density(np.random.default_rng(31), ops.dim)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=2)
+    _rk4_threads(monkeypatch, True)
+    rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01, **kw)  # one-time imports and caches
+    rec = []
+    peak = _traced_peak(lambda: rec.append(rk4_evolve(rho0, ops.hamiltonian, lop, 0.02, 0.01, **kw)))
+    assert rec[0].counters["two_thread"] and rec[0].counters["blocks"] == [ops.dim]
+    assert peak <= 7 * ops.dim**2 * 8 + RK4_MEMORY_SLACK
+
+
+def test_rk4_enters_the_eight_site_vacuum_below_its_step_peak(monkeypatch):
+    # the N = 8 vacuum steps only the C-even block (476 of 800 states): the
+    # entry (plan, R0 and its cut) makes no array that outweighs the block's
+    # seven, and the steps hold no more than those seven
+    _, _, ops, _, lop = standard_setup(8)
+    rho0 = DensityMatrix.pure_state(ops.dim, 0)
+    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=2)
+    _rk4_threads(monkeypatch, True)
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, 0.0, 0.01, **kw)  # one-time imports and caches
+    assert rec.counters["blocks"] == [476]
+    entry = _traced_peak(lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.0, 0.01, **kw))
+    stepped = _traced_peak(lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.02, 0.01, **kw))
+    assert entry < stepped <= 7 * 476**2 * 8 + RK4_MEMORY_SLACK
+
+
+def _real_taylor_step(lv, r, h):
+    """T4(h Lv) vec(R): the degree-4 Taylor polynomial of exp(h Lv)."""
+    term = total = r.ravel()
+    for k in range(1, 5):
+        term = (h / k) * (lv @ term)
+        total = total + term
+    return total
+
+
+def test_an_rk4_step_is_the_taylor_polynomial_of_the_generator(monkeypatch):
+    # plain arrays carry no P, so the records decode rho in the sector basis,
+    # where vectorized_liouvillian acts on vec(R)
+    _, _, ops, _, lop = standard_setup(4)
+    h = ops.hamiltonian.matrix
+    rho0 = random_density(np.random.default_rng(37), ops.dim)
+    decoded = _records_decoding(monkeypatch)
+    dt = 0.01
+    rk4_evolve(rho0, h, lop, dt, dt, pair_count=ops.pair_count, electric_square=ops.electric_square)
+    assert len(decoded) == 2
+    r1 = decoded[1].real + decoded[1].imag
+    expected = _real_taylor_step(vectorized_liouvillian(h, lop), lindblad._real_state_of(rho0), dt)
+    assert np.max(np.abs(r1.ravel() - expected)) < 1e-14
+
+
+def test_two_hundred_nested_rk4_steps_follow_the_classic_form(monkeypatch):
+    # the nested (Horner) step against textbook RK4 on vec(R), step for step
+    _, _, ops, _, lop = standard_setup(4)
+    h = ops.hamiltonian.matrix
+    rho0 = random_density(np.random.default_rng(41), ops.dim)
+    decoded = _records_decoding(monkeypatch)
+    dt, n_steps = 0.01, 200
+    rk4_evolve(rho0, h, lop, n_steps * dt, dt, pair_count=ops.pair_count, electric_square=ops.electric_square)
+    assert len(decoded) == n_steps + 1
+    lv = vectorized_liouvillian(h, lop)
+    r = lindblad._real_state_of(rho0).ravel()
+    worst = 0.0
+    for rho in decoded[1:]:
+        k1 = lv @ r
+        k2 = lv @ (r + 0.5 * dt * k1)
+        k3 = lv @ (r + 0.5 * dt * k2)
+        k4 = lv @ (r + dt * k3)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        worst = max(worst, float(np.max(np.abs((rho.real + rho.imag).ravel() - r))))
+    assert worst < 1e-13
+
+
+def test_the_engine_plan_checks_csr_operators_without_densifying_them():
+    # N = 8 (dim 800): with arrays the plan's commutation check copies H; with
+    # CSR H, L and observables it reads them as they are, for the same plan
+    _, sector, ops, _, lop = standard_setup(8)
+    h = ops.hamiltonian
+    arrays = (h, lop, dict(pair_count=ops.pair_count, electric_square=ops.electric_square))
+    csr = (HermitianOperator(scipy.sparse.csr_array(h.matrix), h.basis_tag, sector.conjugation),
+           scipy.sparse.csr_array(lop),
+           {name: scipy.sparse.csr_array(m.matrix) for name, m in arrays[2].items()})
+    plans, peaks = [], []
+    for hamiltonian, lindblad_op, observables in (arrays, csr):
+        plans.append(lindblad._engine_basis(hamiltonian, lindblad_op, None, observables))
+        peaks.append(_traced_peak(lambda: lindblad._engine_basis(hamiltonian, lindblad_op, None, observables)))
+    array_plan, csr_plan = plans
+    assert csr_plan.parts == array_plan.parts and not csr_plan.identity
+    for got, want in zip(csr_plan.reads, array_plan.reads):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert peaks[1] < peaks[0]
+    assert peaks[1] < ops.dim**2  # an eighth of one dense copy
 
 
 @pytest.mark.parametrize("engine", ["rk4", "exact", "dilation"])
