@@ -17,17 +17,19 @@ the bath temperature.
 Three ways to evolve, each a step closure run by one trajectory driver; the
 recorded observables must be diagonal in the sector basis.  Every engine runs
 one plan, ``_engine_basis``: it checks the shapes of H, L, rho0 and the
-observables, runs in the charge-conjugation (C) basis of ``_CBasis`` when H,
-L and both observables commute with the conjugation P that H carries, steps
-a rho0 that commutes with P block by block, skipping a block that is exactly
-zero, and holds the observables' diagonals each stepped block's records read.
-H, L and the real state R0 of rho0 (below) all enter that basis the same
-way, each stepped block as T_p X T_p^T from its own rows T_p of T: RK4 and
-the exact engine cut H and L from real CSR copies, the dilation and R0 from
-arrays, through the products of SciPy's T @ X @ T^T without its strided
-copies (``_sandwich``).  The plan checks sparse operators as they are.
-``exact_propagate`` and ``steady_state`` map their blocks back and decode
-them in one step (``_CBasis.density``).  The engines:
+observables and builds one ``_CBasis``, which fixes the charge-conjugation
+(C) basis of the conjugation P that H carries (the identity, T = 1, when H
+carries none or H, L or an observable does not commute with it), the parts
+rho0 is stepped in (block by block for a rho0 that commutes with P,
+skipping a block that is exactly zero) and the observables' diagonals each
+part's records read.  H, L and the real state R0 of rho0 (below) all enter
+that basis the same way, each part as T_p X T_p^T from its own rows T_p of
+T (``_CBasis.cut``): RK4 and the exact engine cut H and L from real CSR
+copies, the dilation and R0 from arrays, through the products of SciPy's
+T @ X @ T^T without its strided copies (``_sandwich``); ``gibbs_reference``
+cuts H into the C blocks the same way.  The plan checks sparse operators as
+they are.  ``exact_propagate`` and ``steady_state`` map their blocks back and
+decode them in one step (``_CBasis.density``).  The engines:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
                       matrix products per right-hand side, sparse (CSR) when H
@@ -59,7 +61,6 @@ S vec(R) = vec(R^T), the real generator on vec(R) is
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -290,8 +291,11 @@ class EvolutionRecord:
         header = lines[0] if lines else ""
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).reshape(-1, 6)
-        return cls(*data.T)
+        rows = [ln.split(",") for ln in lines[1:]]
+        for ln, row in zip(lines[1:], rows):
+            if len(row) != 6:
+                raise ValueError(f"CSV row {ln!r} has {len(row)} fields, not 6")
+        return cls(*np.array([[float(x) for x in row] for row in rows]).reshape(-1, 6).T)
 
 
 # ---------------------------------------------------------------------------
@@ -386,90 +390,75 @@ def vectorized_liouvillian(hamiltonian, lindblad_op) -> scipy.sparse.csr_array:
 
 class _CBasis:
     """The charge-conjugation basis of an involution P of the sector states
-    (``HermitianOperator.conjugation``; None for the identity).
+    (``HermitianOperator.conjugation``; None for the identity), and the parts
+    of it an engine steps.
 
     Its states are P's fixed points f, then (a + b)/sqrt 2 and then
     (a - b)/sqrt 2 for the first member a of each swapped pair and its partner
-    b = P[a]: the first ``n_even`` span the C-even block (``blocks[0]``), the
-    rest the C-odd one.  They are the rows of the real orthogonal matrix T.
-    ``to_c`` maps a sector matrix X, array or CSR, to T X T^T, ``cut`` maps X
-    into the parts an engine steps, ``to_sector`` maps back, and
-    ``density`` decodes an engine's stepped states to rho there.  For an
-    X that commutes with P exactly (``commutes``) T X T^T is block-diagonal
-    with exact zeros between the blocks: each of its entries sums at most two
-    products of two terms, and between the blocks these cancel exactly.  A
-    P-symmetric diagonal reads ``d[order]`` in the C basis.  Without pairs T
-    is the identity and ``to_c`` returns X as it is.
+    b = P[a]: the fixed points and the (a + b)/sqrt 2 states span the C-even
+    block (``blocks[0]``), the rest the C-odd one.  They are the rows of the real orthogonal matrix T.
+    When P has no pairs (the identity) the C-odd block is empty and T = 1,
+    and every method runs as for any other P.  ``cut`` maps a sector matrix X
+    into the parts, ``to_sector`` maps back, and ``density`` decodes an
+    engine's stepped states to rho there.  For an X that commutes with P
+    exactly (``_commutes``) T X T^T is block-diagonal with exact zeros between
+    the blocks: each of its entries sums at most two products of two terms,
+    and between the blocks these cancel exactly.  A P-symmetric diagonal
+    reads ``d[order]`` in the C basis.
 
-    ``parts`` and ``skipped`` say where an engine steps its state and
-    ``reads`` what its records read there (``_engine_basis``): by default
-    every nonempty block, none skipped, and no reads.
+    The parts are fixed here.  Without ``rho`` they are the nonempty blocks.
+    A ``rho`` (in the sector basis) that commutes with P is stepped block by
+    block, and a block of it that is exactly zero is not stepped
+    (``skipped``): the C-even block of such a rho is zero when rho (1 + P)/2
+    is, rho == -rho[:, P], and the C-odd one when rho (1 - P)/2 is,
+    rho == rho[:, P].  Any other rho is stepped as one matrix, on the whole C
+    basis.  ``reads`` holds, per part, the ``diagonals`` (sector basis) in
+    the C basis.
     """
 
-    def __init__(self, p, dim: int):
+    def __init__(self, p, dim: int, rho=None, diagonals=()):
         states = np.arange(dim)
         self.p = states if p is None else np.asarray(p)
-        self.f, self.a = np.flatnonzero(self.p == states), np.flatnonzero(self.p > states)
-        self.b = self.p[self.a]
-        self.order = np.concatenate([self.f, self.a, self.b])
-        self.n_even = len(self.f) + len(self.a)
-        self.identity = self.n_even == dim
-        self.blocks = (slice(0, self.n_even), slice(self.n_even, dim))
-        self.parts = [part for part in self.blocks if part.stop > part.start]
-        self.skipped = False
-        self.reads = []
-
-    @functools.cached_property
-    def t(self) -> scipy.sparse.csr_array:
+        f, a = np.flatnonzero(self.p == states), np.flatnonzero(self.p > states)
+        b = self.p[a]
+        self.order = np.concatenate([f, a, b])
+        n_even = len(f) + len(a)
+        self.blocks = (slice(0, n_even), slice(n_even, dim))
+        filled = [part for part in self.blocks if part.stop > part.start]
+        stepped = filled if rho is None else []
+        if rho is not None and _commutes(self.p, rho):
+            swapped = rho[:, self.p]
+            odd_empty = np.array_equal(rho, swapped)
+            even_empty = np.array_equal(rho, np.negative(swapped, out=swapped))
+            stepped = [part for part, empty in zip(self.blocks, (even_empty, odd_empty)) if not empty]
+        self.parts = stepped or [slice(0, dim)]
+        self.skipped = 0 < len(stepped) < len(filled)
+        self.reads = [tuple(d[self.order][part] for d in diagonals) for part in self.parts]
         # row by row: one entry per fixed point, (a, b) in each pair's two rows;
         # int32 indices, as the operators have: a product with an int64 operand
         # is int64, 16 B per entry instead of 12 in every cut and generator
-        nf, na = len(self.f), len(self.a)
+        nf, na = len(f), len(a)
         half = np.sqrt(0.5)
         indptr = np.concatenate([np.arange(nf), nf + 2 * np.arange(2 * na + 1)]).astype(np.int32)
-        pairs = np.column_stack([self.a, self.b]).ravel()
-        indices = np.concatenate([self.f, pairs, pairs]).astype(np.int32)
+        pairs = np.column_stack([a, b]).ravel()
+        indices = np.concatenate([f, pairs, pairs]).astype(np.int32)
         data = np.concatenate([np.ones(nf), np.tile([half, half], na), np.tile([half, -half], na)])
-        return scipy.sparse.csr_array((data, indices, indptr), shape=(len(self.p),) * 2)
-
-    def commutes(self, x) -> bool:
-        """X[P][:, P] == X exactly (P[d] == d for a diagonal d), for an array
-        or a sparse X, which is compared as it is, in CSR form."""
-        if self.identity:
-            return True
-        if scipy.sparse.issparse(x):
-            x = scipy.sparse.csr_array(x)
-            return (x[self.p][:, self.p] != x).nnz == 0
-        x = np.asarray(x)
-        return np.array_equal(x[np.ix_(self.p, self.p)] if x.ndim == 2 else x[self.p], x)
-
-    def to_c(self, x):
-        """T X T^T for an array or a CSR matrix X, of the same kind."""
-        if self.identity:
-            return x
-        return self.t @ x @ self.t.T if scipy.sparse.issparse(x) else _sandwich(self.t, x)
+        self.t = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+        # T's rows of each part
+        self.rows = [self.t[part] for part in self.parts]
 
     def cut(self, x) -> list:
-        """The stepped parts of T X T^T (C-contiguous for an array X): its
-        blocks for an X that commutes with P, or the whole of it.  A part is
-        T_p X T_p^T with T_p its own rows of T (``rows``), bit for bit the
-        slice of T X T^T: a dense X makes no temporary of its size, only two
-        of T_p X's (476 x 800 instead of 800 x 800 for the N = 8 vacuum)."""
-        if self.identity:
-            return [x[part, part] if scipy.sparse.issparse(x) else np.ascontiguousarray(x[part, part])
-                    for part in self.parts]
+        """The parts of T X T^T for an array or a CSR matrix X, of the same
+        kind (C-contiguous arrays).  A part is T_p X T_p^T with T_p its own
+        rows of T, bit for bit the slice of T X T^T: a dense X makes no
+        temporary of its size, only two of T_p X's (476 x 800 instead of
+        800 x 800 for the N = 8 vacuum)."""
         return [t @ x @ t.T if scipy.sparse.issparse(x) else np.ascontiguousarray(_sandwich(t, x))
                 for t in self.rows]
 
-    @functools.cached_property
-    def rows(self) -> list:
-        """T's rows of each stepped part, as CSR matrices: formed once per
-        plan, on the first ``cut`` after ``parts`` is set."""
-        return [self.t[part] for part in self.parts]
-
     def to_sector(self, z: np.ndarray) -> np.ndarray:
-        """T^T Z T, the inverse of ``to_c``."""
-        return z if self.identity else np.ascontiguousarray(_sandwich(self.t.T, z))
+        """T^T Z T for an array Z in the C basis."""
+        return np.ascontiguousarray(_sandwich(self.t.T, z))
 
     def density(self, states) -> np.ndarray:
         """rho in the sector basis of the real states R of the stepped parts:
@@ -482,6 +471,16 @@ class _CBasis:
 
     def sizes(self) -> list:
         return [part.stop - part.start for part in self.parts]
+
+
+def _commutes(p, x) -> bool:
+    """X[P][:, P] == X exactly (P[d] == d for a diagonal d), for an array or a
+    sparse X, which is compared as it is, in CSR form."""
+    if scipy.sparse.issparse(x):
+        x = scipy.sparse.csr_array(x)
+        return (x[p][:, p] != x).nnz == 0
+    x = np.asarray(x)
+    return np.array_equal(x[np.ix_(p, p)] if x.ndim == 2 else x[p], x)
 
 
 def _sandwich(t, x: np.ndarray) -> np.ndarray:
@@ -501,34 +500,20 @@ def _engine_basis(hamiltonian, lindblad_op, rho0=None, observables=None) -> _CBa
     ValueError names the argument otherwise, before anything is cut.  A
     sparse H, L or observable is checked as it is, never densified.  P is
     ``hamiltonian.conjugation`` when H, L and every observable commute with it
-    exactly, and the identity otherwise (and for plain arrays).  A rho0 that
-    commutes with P too (None stands for 1/dim) is stepped block by block, and
-    a block of it that is exactly zero is skipped; any other is stepped as one
-    matrix, on the whole C basis.  This plan is read off rho0 in the sector
-    basis, before rho0 is decoded or mapped: for an X that commutes with P the
-    C-even block is zero when X (1 + P)/2 is, X == -X[:, P], and the C-odd one
-    when X (1 - P)/2 is, X == X[:, P].  ``c.reads`` holds, per stepped part,
-    the observables' diagonals in the C basis, in the order of
-    ``observables``.
+    exactly, and the identity otherwise (and for plain arrays); either way the
+    plan is a ``_CBasis`` of P, read off rho0 (None stands for 1/dim) in the
+    sector basis, before rho0 is decoded or mapped.  ``c.reads`` holds the
+    observables' diagonals in the order of ``observables``.
     """
     h = _checked(_operand_of(hamiltonian), "hamiltonian")
     dim = h.shape[0]
     lop = _checked(_operand_of(lindblad_op), "lindblad_op", dim)
     rho = None if rho0 is None else _checked(_matrix_of(rho0), "rho0", dim)
     diagonals = [_diagonal_of(op, name, dim) for name, op in (observables or {}).items()]
-    c = _CBasis(getattr(hamiltonian, "conjugation", None), dim)
-    if not all(c.commutes(x) for x in (h, lop, *diagonals)):
-        c = _CBasis(None, dim)
-    if rho is not None and not c.identity:
-        stepped = []
-        if c.commutes(rho):
-            swapped = rho[:, c.p]
-            odd_empty = np.array_equal(rho, swapped)
-            even_empty = np.array_equal(rho, np.negative(swapped, out=swapped))
-            stepped = [part for part, empty in zip(c.blocks, (even_empty, odd_empty)) if not empty]
-        c.parts, c.skipped = stepped or [slice(0, dim)], len(stepped) == 1
-    c.reads = [tuple(d[c.order][part] for d in diagonals) for part in c.parts]
-    return c
+    p = getattr(hamiltonian, "conjugation", None)
+    if p is not None and not all(_commutes(p, x) for x in (h, lop, *diagonals)):
+        p = None
+    return _CBasis(p, dim, rho, diagonals)
 
 
 def _real_blocks(c: _CBasis, hamiltonian, lindblad_op) -> zip:
@@ -551,12 +536,15 @@ def _checked(m, name: str, dim: int | None = None):
 
 def _diagonal_of(op, name: str, dim: int) -> np.ndarray:
     """The diagonal of ``op``, read off an array or a sparse matrix as it is;
-    ValueError unless ``op`` is dim x dim and diagonal."""
+    ValueError unless ``op`` is dim x dim and diagonal with a real diagonal (a
+    complex dtype with a zero imaginary part is real)."""
     m = _checked(_operand_of(op), name, dim)
     diag = m.diagonal()
     nonzero = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
     if nonzero != np.count_nonzero(diag):
         raise ValueError(f"{name} must be diagonal in the sector basis")
+    if np.iscomplexobj(diag) and np.any(diag.imag):
+        raise ValueError(f"{name} must have a real diagonal; got a nonzero imaginary part")
     return np.real(diag).copy()
 
 
@@ -1023,14 +1011,15 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     and ``c_even``, the same of the C-even block's, which holds the vacuum.
 
     With P = ``hamiltonian.conjugation`` (the identity for an operator without
-    one, or a plain array) H is mapped into the C basis of ``_CBasis``,
-    T H T^T: its C-even block holds P's fixed points and the
-    (a + b)/sqrt 2 states, its C-odd block the (a - b)/sqrt 2 states.  P must
+    one, or a plain array) H is cut into the nonempty blocks of the C basis
+    of ``_CBasis`` (``cut``), as the engines cut it: the C-even block holds
+    P's fixed points and the (a + b)/sqrt 2 states, the C-odd block the
+    (a - b)/sqrt 2 states, and it is empty when P has no pairs.  P must
     commute with H exactly, H[P][:, P] == H (ValueError otherwise).  A sparse
-    H is mapped and checked as it is, and only its blocks are densified.  Each
+    H is cut and checked as it is, and only its blocks are densified.  Each
     block is diagonalized on its own (476 and 324 states instead of 800 at
-    N = 8), with the Boltzmann weights shifted by the lower of the two ground
-    energies.
+    N = 8), with the Boltzmann weights shifted by the lowest of the blocks'
+    ground energies.
 
     H must be square and both observables of its size and diagonal in the
     sector basis (ValueError otherwise, before H is mapped), so only the
@@ -1044,24 +1033,21 @@ def gibbs_reference(hamiltonian, beta: float, pair_count, electric_square) -> di
     h = _checked(_operand_of(hamiltonian), "hamiltonian")
     dim = h.shape[0]
     diagonals = _diagonal_of(pair_count, "pair_count", dim), _diagonal_of(electric_square, "electric_square", dim)
-    c = _CBasis(getattr(hamiltonian, "conjugation", None), dim)
-    if not c.commutes(h):
+    p = getattr(hamiltonian, "conjugation", None)
+    if p is not None and not _commutes(p, h):
         raise ValueError("the Hamiltonian does not commute with its conjugation")
-    z = c.to_c(h)
-    (evals_even, vecs_even), (evals_odd, vecs_odd) = (np.linalg.eigh(_matrix_of(z[part, part])) for part in c.blocks)
-    ground = min(evals_even[0], evals_odd[0]) if len(evals_odd) else evals_even[0]
-    w_even = np.exp(-beta * (evals_even - ground))
-    w_odd = np.exp(-beta * (evals_odd - ground))
-    # unnormalized diagonals of the two blocks' Gibbs states
-    occ_even = (np.abs(vecs_even) ** 2) @ w_even
-    occ_odd = (np.abs(vecs_odd) ** 2) @ w_odd
-    z_even = w_even.sum()
-    z = z_even + w_odd.sum()
+    c = _CBasis(p, dim)
+    spectra = [np.linalg.eigh(_matrix_of(z)) for z in c.cut(h)]
+    ground = min(evals[0] for evals, _ in spectra)
+    weights = [np.exp(-beta * (evals - ground)) for evals, _ in spectra]
+    # unnormalized diagonals of the blocks' Gibbs states, and their traces
+    occupations = [(np.abs(vecs) ** 2) @ w for (_, vecs), w in zip(spectra, weights)]
+    traces = [w.sum() for w in weights]
 
     def means(d):
         d = (0.5 * (d + d[c.p]))[c.order]
-        in_even = occ_even @ d[c.blocks[0]]
-        return float((in_even + occ_odd @ d[c.blocks[1]]) / z), float(in_even / z_even)
+        parts = [occ @ d[part] for occ, part in zip(occupations, c.parts)]
+        return float(sum(parts) / sum(traces)), float(parts[0] / traces[0])
 
     (n_pairs, n_pairs_even), (e2, e2_even) = map(means, diagonals)
     return {"beta": beta, "n_pairs": n_pairs, "e2": e2, "c_even": {"n_pairs": n_pairs_even, "e2": e2_even}}
