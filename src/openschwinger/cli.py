@@ -51,8 +51,11 @@ RECORD_MAX_BYTES = 2 * 2**30
 
 # Largest dense setup a command may build, checked once the sector is known at
 # ten dim x dim float64 arrays: H, the three observables, L and the Gibbs
-# eigendecomposition peaked 9.1-9.3 such arrays above the sector at N = 8 and
-# 9.  N <= 10 (3.2 GiB) passes and N = 11 (28 GiB) is refused.
+# blocks' eigendecompositions peaked 6.9-7.0 such arrays above the sector at
+# N = 8 and 9 (ru_maxrss of fresh processes, two each; 6.9-7.4 when L took
+# three arrays of its own), so ten leaves room for the growth of the sector
+# operators' share with N (3.2-3.4 arrays at N = 8, 3.9 at N = 9).  N <= 10
+# (3.2 GiB) passes and N = 11 (28 GiB) is refused.
 SETUP_MAX_BYTES = 4 * 2**30
 
 

@@ -21,23 +21,26 @@ observables and builds one ``_CBasis``, which fixes the charge-conjugation
 (C) basis of the conjugation P that H carries (the identity, T = 1, when H
 carries none or H, L or an observable does not commute with it), the parts
 rho0 is stepped in (block by block for a rho0 that commutes with P,
-skipping a block that is exactly zero) and the observables' diagonals each
-part's records read.  H, L and the real state R0 of rho0 (below) all enter
-that basis the same way, each part as T_p X T_p^T from its own rows T_p of
-T (``_CBasis.cut``): RK4 and the exact engine cut H and L from real CSR
-copies, the dilation and R0 from arrays, through the products of SciPy's
-T @ X @ T^T without its strided copies (``_sandwich``); ``gibbs_reference``
-cuts H into the C blocks the same way.  The plan checks sparse operators as
+skipping a block that is exactly zero; for RK4 from dim 200 on, a rho0
+that spans both blocks as its block pairs) and the observables' diagonals
+each part's records read.  H, L and the real state R0 of rho0 (below) all
+enter that basis the same way, each part as T_p X T_p^T from its own rows
+T_p of T (``_CBasis.cut``): RK4 and the exact engine cut H and L from real
+CSR copies, the dilation and R0 from arrays, through the products of
+SciPy's T @ X @ T^T without its strided copies (``_sandwich``);
+``gibbs_reference`` cuts H into the C blocks the same way.  The plan checks sparse operators as
 they are.  ``exact_propagate`` and ``steady_state`` map their blocks back and
 decode them in one step (``_CBasis.density``).  The engines:
 
 * ``rk4_evolve``      fixed-step classical integrator, any sector size: five
-                      matrix products per right-hand side, sparse (CSR) when H
-                      and L are and run on two threads from dim 200 on (N = 7),
-                      no Hermitian projection, and each step the nested
-                      (Horner) form of RK4's Taylor polynomial in two
-                      registers per block, which also hold each record's rho:
-                      7 d^2 floats per stepped block of size d
+                      matrix products per right-hand side (seven on a
+                      coherence block), sparse (CSR) when H and L are and run
+                      on two threads from dim 200 on (N = 7), no Hermitian
+                      projection, and each step the nested (Horner) form of
+                      RK4's Taylor polynomial in two registers per stepped
+                      part, which also hold each record's rho: 7 d^2 floats
+                      for a block of size d, and about 5 d^2 (4.6 d^2 at
+                      N = 8) for a state of size d stepped as its block pairs
 * ``exact_evolve``    action of the exponential of the vectorized generator,
                       a sparse d^2 x d^2 matrix per block, on vec(R0): the
                       truncated sectors up to N = 6, and the vacuum's block at
@@ -102,16 +105,27 @@ TRACE_ABORT_TOL = 1e-6
 # (dim 4 to 41) and CSR from 0.06 on (N = 6, dim 109: 2.1 -> 1.3 ms).
 RK4_SPARSE_BELOW = 0.1
 
-# From this dimension of a stepped block on, and when the process may run on
-# more than one CPU, the CSR right-hand side runs on two threads
-# (``_threaded_real_rhs``).  Per RK4 step on two cores, four runs each side
-# (20 steps at N = 8, 100 at N = 7, two records each): 96-155 -> 72-91 ms for
+# From this dimension of a stepped block on (from this size squared for a
+# d_a x d_b block pair), and when the process may run on more than one CPU,
+# the CSR right-hand side runs on two threads (``_threaded_real_rhs``).  Per
+# RK4 step on two cores, four runs each side (20 steps at N = 8, 100 at
+# N = 7, two records each): 96-155 -> 72-91 ms for
 # the whole C basis at N = 8 (dim 800), 42-48 -> 27-31 ms for the N = 8
 # vacuum's C-even block (476), 7.1-9.9 -> 6.5-8.1 ms at N = 7 (284), and no
 # clear difference for the N = 7 vacuum's block (186: 3.0-4.2 against
 # 2.7-4.3 ms).  Below, the hand-offs cost more than they save: per right-hand
 # side 0.12-0.18 -> 0.23-0.26 ms at 78 (N = 6, C-even) and 0.17 -> 0.23 ms at
-# 109 (N = 6).
+# 109 (N = 6).  From this dimension on RK4 also steps a state that spans both
+# C blocks as its block pairs (``_CBasis``): 4.6 instead of 7.1 d^2 floats at
+# N = 8 and 5.1 instead of 7.4 at N = 7 (tracemalloc).  Per step, ten runs
+# each side in alternating processes: on two cores 53-65 ms (median 56)
+# against 61-70 ms (61) at N = 8, and on one thread 81-95 (85) against
+# 101-113 ms (111); at N = 7, whose pairs (186 and 98 states) stay below the
+# thread cut, 6.9-8.5 ms (7.2) against 5.5-6.7 ms (5.8) for the whole C basis
+# on two threads, and 6.8-7.9 (7.1) against 6.8-7.6 ms (7.0) on one.  With
+# the N = 7 pairs on two threads a step took 7.3-8.7 ms.  At N = 6 (109),
+# which keeps the whole C basis, the pairs took 1.32-1.54 ms per step against
+# 0.86-1.39 ms (one process, six runs each).
 RK4_THREADS_FROM_DIM = 200
 
 # Largest CSR generator that ``vectorized_liouvillian`` builds, checked for
@@ -315,14 +329,18 @@ def build_lindblad_operator(
     condensate is, so the commutator is formed element by element,
     [H, O]_ij = H_ij o_j - o_i H_ij.  Real whenever H is real, which the sector
     builders guarantee; generally non-Hermitian because the commutator part is
-    anti-Hermitian.
+    anti-Hermitian.  L is formed in place in the commutator's array, with at
+    most two arrays of H's size alive: O - C for C = [H, O] / 4T is 0 - C
+    off the diagonal and o_i - C_ii on it.
     """
     h = _checked(_matrix_of(hamiltonian), "hamiltonian")
     o = _diagonal_of(condensate, "condensate", len(h))
-    comm = h * o
-    comm -= o[:, None] * h
-    lop = np.diag(o)
-    lop -= comm / (4.0 * bath.temperature)
+    lop = h * o
+    lop -= o[:, None] * h  # [H, O]
+    lop /= 4.0 * bath.temperature
+    diag = o - np.diagonal(lop)
+    np.subtract(0.0, lop, out=lop)
+    np.fill_diagonal(lop, diag)
     lop *= np.sqrt(params.a * spec.n_fermion * bath.coupling)
     return lop
 
@@ -411,12 +429,18 @@ class _CBasis:
     block, and a block of it that is exactly zero is not stepped
     (``skipped``): the C-even block of such a rho is zero when rho (1 + P)/2
     is, rho == -rho[:, P], and the C-odd one when rho (1 - P)/2 is,
-    rho == rho[:, P].  Any other rho is stepped as one matrix, on the whole C
-    basis.  ``reads`` holds, per part, the ``diagonals`` (sector basis) in
-    the C basis.
+    rho == rho[:, P].  Any other rho spans both blocks.  Below ``pairs_from``
+    states (and without it) it is stepped as one matrix, on the whole C
+    basis; from there on it is ``paired``: the parts are the two blocks, and
+    rho is stepped as one state held as its four block pairs R_ab
+    (``cut_pairs``, ``_BlockPairs``), which the Lindblad flow maps each into
+    itself, the coherence blocks R_eo and R_oe through each other's
+    transposes.  ``reads`` holds, per stepped state, the ``diagonals``
+    (sector basis) in the C basis: per part, or over the whole C basis for a
+    paired state.  ``rows`` holds each part's rows of T (``_rows``).
     """
 
-    def __init__(self, p, dim: int, rho=None, diagonals=()):
+    def __init__(self, p, dim: int, rho=None, diagonals=(), pairs_from=None):
         states = np.arange(dim)
         self.p = states if p is None else np.asarray(p)
         f, a = np.flatnonzero(self.p == states), np.flatnonzero(self.p > states)
@@ -431,9 +455,11 @@ class _CBasis:
             odd_empty = np.array_equal(rho, swapped)
             even_empty = np.array_equal(rho, np.negative(swapped, out=swapped))
             stepped = [part for part, empty in zip(self.blocks, (even_empty, odd_empty)) if not empty]
-        self.parts = stepped or [slice(0, dim)]
+        self.paired = not stepped and len(filled) > 1 and pairs_from is not None and dim >= pairs_from
+        self.parts = filled if self.paired else stepped or [slice(0, dim)]
         self.skipped = 0 < len(stepped) < len(filled)
-        self.reads = [tuple(d[self.order][part] for d in diagonals) for part in self.parts]
+        read = [slice(0, dim)] if self.paired else self.parts
+        self.reads = [tuple(d[self.order][part] for d in diagonals) for part in read]
         # row by row: one entry per fixed point, (a, b) in each pair's two rows;
         # int32 indices, as the operators have: a product with an int64 operand
         # is int64, 16 B per entry instead of 12 in every cut and generator
@@ -445,7 +471,7 @@ class _CBasis:
         data = np.concatenate([np.ones(nf), np.tile([half, half], na), np.tile([half, -half], na)])
         self.t = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
         # T's rows of each part
-        self.rows = [self.t[part] for part in self.parts]
+        self.rows = [_rows(self.t, part) for part in self.parts]
 
     def cut(self, x) -> list:
         """The parts of T X T^T for an array or a CSR matrix X, of the same
@@ -455,6 +481,15 @@ class _CBasis:
         800 x 800 for the N = 8 vacuum)."""
         return [t @ x @ t.T if scipy.sparse.issparse(x) else np.ascontiguousarray(_sandwich(t, x))
                 for t in self.rows]
+
+    def cut_pairs(self, x: np.ndarray) -> "_BlockPairs":
+        """T X T^T for an array X as its block pairs: each block T_a X T_b^T
+        from the rows of T of parts a and b (``_sandwich``), bit for bit the
+        block of T X T^T, written into one flat buffer of X's size."""
+        r = _BlockPairs(self.parts)
+        for (i, j), block in zip(r.index_pairs, r.blocks):
+            np.copyto(block, _sandwich(self.rows[i], x, self.rows[j]))
+        return r
 
     def to_sector(self, z: np.ndarray) -> np.ndarray:
         """T^T Z T for an array Z in the C basis."""
@@ -470,7 +505,60 @@ class _CBasis:
         return _density_of_real(self.to_sector(r))
 
     def sizes(self) -> list:
-        return [part.stop - part.start for part in self.parts]
+        """The size of each stepped part, or the shape [d_a, d_b] of each
+        block pair of a paired state."""
+        sizes = [part.stop - part.start for part in self.parts]
+        return [[m, n] for m in sizes for n in sizes] if self.paired else sizes
+
+
+def _rows(t, part: slice) -> scipy.sparse.csr_array:
+    """The rows ``part`` of a CSR matrix t, read off t's own ``indptr``,
+    ``indices`` and ``data``: the arrays of SciPy's ``t[part]``, without the
+    slicing path that took about 21 us per part."""
+    lo, hi = t.indptr[part.start], t.indptr[part.stop]
+    return scipy.sparse.csr_array((t.data[lo:hi], t.indices[lo:hi], t.indptr[part.start:part.stop + 1] - lo),
+                                  shape=(part.stop - part.start, t.shape[1]))
+
+
+class _BlockPairs:
+    """A real state R on the whole C basis held as its block pairs: R_ab for
+    every pair (a, b) of the parts, in row-major order, each a C-contiguous
+    view of one flat buffer of R's size (``flat``).  It has what the RK4 step
+    and the record loop use of an array: ``shape``, ``size``, ``ravel`` (the
+    flat buffer), ``diagonal`` and ``trace`` (R's, read off the blocks R_aa),
+    and in place ``*=`` a number and ``+=`` a state of the same layout."""
+
+    def __init__(self, parts, flat=None):
+        dim = sum(part.stop - part.start for part in parts)
+        self.shape, self.size = (dim, dim), dim * dim
+        self.flat = np.empty(self.size) if flat is None else flat
+        n = len(parts)
+        self.index_pairs = [(i, j) for i in range(n) for j in range(n)]
+        self.pairs = [(parts[i], parts[j]) for i, j in self.index_pairs]
+        self.blocks, start = [], 0
+        for a, b in self.pairs:
+            shape = (a.stop - a.start, b.stop - b.start)
+            self.blocks.append(self.flat[start:start + shape[0] * shape[1]].reshape(shape))
+            start += shape[0] * shape[1]
+        # R_ba of each block R_ab
+        self.partners = [self.blocks[j * n + i] for i, j in self.index_pairs]
+
+    def ravel(self) -> np.ndarray:
+        return self.flat
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate([x.diagonal() for (i, j), x in zip(self.index_pairs, self.blocks) if i == j])
+
+    def trace(self) -> float:
+        return np.sum(self.diagonal())
+
+    def __imul__(self, factor):
+        self.flat *= factor
+        return self
+
+    def __iadd__(self, other):
+        self.flat += other.flat
+        return self
 
 
 def _commutes(p, x) -> bool:
@@ -483,15 +571,16 @@ def _commutes(p, x) -> bool:
     return np.array_equal(x[np.ix_(p, p)] if x.ndim == 2 else x[p], x)
 
 
-def _sandwich(t, x: np.ndarray) -> np.ndarray:
-    """t X t^T for a sparse t and an array X, as (t (t X)^T)^T with one
-    C-contiguous copy: the products SciPy's ``t @ X @ t.T`` sums, in the same
-    order, so bit for bit its result, without the strided copies it makes for
-    the dense-times-sparse product (H at N = 8: 2.6 against 4.9 ms)."""
-    return (t @ np.ascontiguousarray((t @ x).T)).T
+def _sandwich(t, x: np.ndarray, u=None) -> np.ndarray:
+    """t X u^T (u = t when None) for sparse t and u and an array X, as
+    (u (t X)^T)^T with one C-contiguous copy: the products SciPy's
+    ``t @ X @ u.T`` sums, in the same order, so bit for bit its result,
+    without the strided copies it makes for the dense-times-sparse product
+    (H at N = 8: 2.6 against 4.9 ms)."""
+    return ((t if u is None else u) @ np.ascontiguousarray((t @ x).T)).T
 
 
-def _engine_basis(hamiltonian, lindblad_op, rho0=None, observables=None) -> _CBasis:
+def _engine_basis(hamiltonian, lindblad_op, rho0=None, observables=None, pairs_from=None) -> _CBasis:
     """The one plan every engine runs: the C basis, the parts it steps rho0
     in and their record reads.
 
@@ -502,7 +591,8 @@ def _engine_basis(hamiltonian, lindblad_op, rho0=None, observables=None) -> _CBa
     ``hamiltonian.conjugation`` when H, L and every observable commute with it
     exactly, and the identity otherwise (and for plain arrays); either way the
     plan is a ``_CBasis`` of P, read off rho0 (None stands for 1/dim) in the
-    sector basis, before rho0 is decoded or mapped.  ``c.reads`` holds the
+    sector basis, before rho0 is decoded or mapped, and paired from
+    ``pairs_from`` states on (RK4 alone passes it).  ``c.reads`` holds the
     observables' diagonals in the order of ``observables``.
     """
     h = _checked(_operand_of(hamiltonian), "hamiltonian")
@@ -513,7 +603,7 @@ def _engine_basis(hamiltonian, lindblad_op, rho0=None, observables=None) -> _CBa
     p = getattr(hamiltonian, "conjugation", None)
     if p is not None and not all(_commutes(p, x) for x in (h, lop, *diagonals)):
         p = None
-    return _CBasis(p, dim, rho, diagonals)
+    return _CBasis(p, dim, rho, diagonals, pairs_from)
 
 
 def _real_blocks(c: _CBasis, hamiltonian, lindblad_op) -> zip:
@@ -549,14 +639,20 @@ def _diagonal_of(op, name: str, dim: int) -> np.ndarray:
 
 
 def _real_state_of(rho0) -> np.ndarray:
-    """R0 = Re rho + Im rho of the Hermitian part rho of rho0, a new real array.
+    """R0 = Re rho + Im rho of the Hermitian part rho of rho0, a real array
+    that the engines only read.
 
-    R cannot hold a non-Hermitian part, so a rho0 whose Hermiticity error
-    exceeds 1e-10 (the ``validate`` default) is refused with ValueError.  The
-    skew part rho0 - rho0^H is the one temporary of rho0's size, and becomes
-    rho in place: for a real rho0 it is R0 itself.
+    A float64 rho0 that is symmetric bit for bit is its own R0, and no array
+    of its size is made: R0 made as below is rho0 bit for bit then, and at
+    N = 8 the copy was garbage that lifted the ``rk4-n8`` peak RSS by about
+    5 MB.  R cannot hold a non-Hermitian part, so a rho0 whose Hermiticity
+    error exceeds 1e-10 (the ``validate`` default) is refused with
+    ValueError.  The skew part rho0 - rho0^H is the one temporary of rho0's
+    size, and becomes rho in place: for a real rho0 it is R0 itself.
     """
     rho0 = _matrix_of(rho0)
+    if rho0.dtype == np.float64 and np.array_equal(rho0, rho0.T):
+        return rho0
     r = np.subtract(rho0, rho0.conj().T, dtype=np.result_type(rho0, float))
     # a real skew part is antisymmetric bit for bit: its largest entry is its largest modulus
     herm_err = float(np.max(np.abs(r) if np.iscomplexobj(r) else r))
@@ -567,13 +663,17 @@ def _real_state_of(rho0) -> np.ndarray:
     return np.add(r.real, r.imag) if np.iscomplexobj(r) else r
 
 
-def _density_of_real(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _density_of_real(r, out: np.ndarray | None = None) -> np.ndarray:
     """Write rho = (R + R^T)/2 + i (R - R^T)/2, Hermitian bit for bit, into the
-    complex ``out`` (a new array when none is given)."""
+    complex ``out`` (a new array when none is given), for an array R or a
+    ``_BlockPairs``, whose block (a, b) of rho is read off R_ab and R_ba."""
     if out is None:
         out = np.empty(r.shape, dtype=complex)
-    np.add(r, r.T, out=out.real)
-    np.subtract(r, r.T, out=out.imag)
+    whole = slice(None)
+    pairs = zip(r.pairs, r.blocks, r.partners) if isinstance(r, _BlockPairs) else [((whole, whole), r, r)]
+    for (a, b), x, y in pairs:
+        np.add(x, y.T, out=out.real[a, b])
+        np.subtract(x, y.T, out=out.imag[a, b])
     out *= 0.5
     return out
 
@@ -584,8 +684,9 @@ def _run_trajectory(
     """The one record loop behind every engine.
 
     ``states`` are the real states R (module docstring) of the parts of the C
-    basis ``c`` that the engine steps, and ``step(states, k)`` advances them to
-    step k <= ``n_steps``.  Step 0, every ``stride``-th and the last step are
+    basis ``c`` that the engine steps (arrays, or one ``_BlockPairs`` when
+    ``c.paired``), and ``step(states, k)`` advances them to step
+    k <= ``n_steps``.  Step 0, every ``stride``-th and the last step are
     recorded at ``time_of(k)``.  Trace, purity and the pair count and E^2
     (``c.reads``) are sums over the parts of reads straight off R
     (diag rho = diag R and tr rho^2 = sum_ij R_ij^2).
@@ -594,7 +695,8 @@ def _run_trajectory(
     part's shape (views of one flat array when None).  With ``tolerances``
     (``trace_tol``, ``psd_tol``) every row but the first is checked.  The
     record carries ``counters`` and the number of records and stepped block
-    sizes, and its ``timings`` the seconds spent in steps and in records.
+    sizes or block-pair shapes (``c.sizes``), and its ``timings`` the seconds
+    spent in steps and in records.
     """
     if buffers is None:
         flat = np.empty(max(r.size for r in states), dtype=complex)
@@ -611,9 +713,9 @@ def _run_trajectory(
             continue
         sums, eigs = [], [0.0] if c.skipped else []
         for r, out, (pairs_diag, e2_diag) in zip(states, buffers, c.reads):
-            diag = np.diagonal(r)
+            diag, flat = r.diagonal(), r.ravel()
             sums.append((float(np.sum(diag)), float(pairs_diag @ diag), float(e2_diag @ diag),
-                         float(np.vdot(r, r))))
+                         float(np.vdot(flat, flat))))
             eigs.append(float(np.linalg.eigvalsh(_density_of_real(r, out))[0]))
         tr, pairs, e2, purity = map(sum, zip(*sums))
         min_eig = min(eigs)
@@ -656,40 +758,60 @@ def _real_operands(h, lop) -> tuple:
     return stacked.toarray(), lop, np.ascontiguousarray(0.5 * lop.T)
 
 
-def _real_rhs(stacked, lop, half_lop_t):
-    """``rhs(r, out)``: write dR/dt of the real state R into ``out``.
+def _real_rhs(stacked, lop, half_lop_t, right=None):
+    """``rhs(r, out, s=None)``: write dR_ab/dt of the block R_ab = r of the
+    real state R into ``out``, given its partner s = R_ba (r itself, and
+    ``s`` unused, on a diagonal block).
 
-    For real H and L, with H and G = L^T L symmetric,
+    For real H and L, block-diagonal (H_a, L_a on block a), with H and
+    G = L^T L symmetric,
 
-        dR/dt = R^T H - H R^T + L R L^T - 1/2 (G R + R G)
-              = (H R - 1/2 L^T (L R^T))^T - H R^T + L (L R^T)^T - 1/2 L^T (L R),
+        dR/dt = R^T H - H R^T + L R L^T - 1/2 (G R + R G),
+        dR_ab/dt = (H_b R_ba - 1/2 L_b^T (L_b R_ab^T))^T - H_a R_ba^T
+                   + L_a (L_b R_ab^T)^T - 1/2 L_a^T (L_a R_ab),
 
-    five products with the operands of ``_real_operands``: [H; L] R^T,
-    L^T (L R^T), [H; L] R, L (L R^T)^T and L^T (L R).  G is never formed.  Each
-    transposed operand is first copied into one C-contiguous buffer, because a
-    CSR product with a transposed view is about three times slower.  The
-    products are ordered so that the temporaries alive at once never hold
-    more than 3 dim^2 entries: with about twice that, every call faulted its
-    pages back in from the OS (2146 minor faults per call at N = 8, about a
-    fifth of its time).
+    with the operands of ``_real_operands`` of block a ([H_a; L_a], L_a,
+    L_a^T / 2) and of block b (``right``; None for a diagonal block, b = a).
+    G is never formed.  On a diagonal block R_ba = R_ab, and [H; L] multiplies
+    R^T and R in one product each: five products, [H; L] R^T, L^T (L R^T),
+    [H; L] R, L (L R^T)^T and L^T (L R); a coherence block takes the seven
+    half-products one by one.  Each transposed operand is first copied into
+    one C-contiguous buffer, because a CSR product with a transposed view is
+    about three times slower: a diagonal block keeps its buffer, a coherence
+    block makes its two per call.  The products are ordered so that the
+    temporaries alive at once never hold more than 3 dim^2 entries: with
+    about twice that, every call faulted its pages back in from the OS (2146
+    minor faults per call at N = 8, about a fifth of its time).
     """
-    dim = lop.shape[0]
-    rt = np.empty((dim, dim))
+    d_a = lop.shape[0]
+    stacked_b, lop_b, half_lop_t_b = right or (stacked, lop, half_lop_t)
+    d_b = lop_b.shape[0]
+    h_a, h_b = (None, None) if right is None else (stacked[:d_a], stacked_b[:d_b])
+    kept = np.empty((d_a, d_b)) if right is None else None
 
-    def rhs(r, out):
-        np.copyto(rt, r.T)
-        hl_rt = stacked @ rt  # [H R^T; L R^T]
-        np.negative(hl_rt[:dim], out=out)
-        half_g_rt = half_lop_t @ hl_rt[dim:]
-        np.copyto(rt, hl_rt[dim:].T)  # the R^T buffer now holds (L R^T)^T
-        del hl_rt
-        hl_r = stacked @ r  # [H R; L R]
-        first = hl_r[:dim]
-        first -= half_g_rt
+    def hl(h, x, l, y):
+        """(h x, l y); for a diagonal block, where x is y, one product with [H; L]"""
+        if right is None:
+            both = stacked @ x
+            return both[:d_a], both[d_a:]
+        return h @ x, l @ y
+
+    def rhs(r, out, s=None):
+        s = r if right is None else s
+        st = np.empty((d_a, d_b)) if kept is None else kept
+        np.copyto(st, s.T)  # R_ba^T
+        h_st, l_rt = hl(h_a, st, lop_b, st if right is None else np.ascontiguousarray(r.T))
+        np.negative(h_st, out=out)
+        del h_st
+        half_g_rt = half_lop_t_b @ l_rt
+        np.copyto(st, l_rt.T)  # the R_ba^T buffer now holds (L_b R_ab^T)^T
+        del l_rt
+        h_s, l_r = hl(h_b, s, lop, r)  # H_b R_ba, L_a R_ab
+        h_s -= half_g_rt
         del half_g_rt
-        out += first.T
-        out += lop @ rt
-        out -= half_lop_t @ hl_r[dim:]
+        out += h_s.T
+        out += lop @ st
+        out -= half_lop_t @ l_r
         return out
 
     return rhs
@@ -708,47 +830,61 @@ def _csr_product(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _threaded_real_rhs(stacked, lop, half_lop_t, pool):
+def _threaded_real_rhs(stacked, lop, half_lop_t, pool, right=None):
     """``_real_rhs`` for CSR operands with the work split between the calling
-    thread and the single worker of ``pool``; dR/dt is bit for bit the same.
+    thread and the single worker of ``pool``; dR_ab/dt is bit for bit the same.
 
-    The seven half-products H R^T, L R^T, H R, L R, 1/2 L^T (L R^T),
-    L (L R^T)^T and 1/2 L^T (L R) run in two chains, one on the worker and one
-    on the calling thread, joined twice per call; the worker also takes one of
-    the two transposed copies.  The terms enter ``out`` in the serial order.
-    Each product is written into a dim x dim buffer (``_csr_product``).  The
-    four buffers (R^T and three products) are allocated per call by the
-    calling thread, so the worker allocates no array and none of them is held
-    while the records run: with ``rk4_evolve``'s R and two registers a part
-    holds 7 dim^2 floats while it steps.  Kept alive for the whole
-    trajectory, the four buffers raised the peak RSS of a fresh process
-    running the N = 8 leg (20 steps, stride 5) from 149 to 160 MB.  Made per
-    call, they cost no extra page faults: the ``rk4-n8`` benchmark process
-    took a median 388 k minor faults per run against 423 k when two of them
-    were a record buffer lent by the caller.
+    The seven half-products H_b R_ba, H_a R_ba^T, L_b R_ab^T,
+    1/2 L_b^T (L_b R_ab^T), L_a R_ab, 1/2 L_a^T (L_a R_ab) and
+    L_a (L_b R_ab^T)^T run in two chains, one on the worker and one on the
+    calling thread, joined twice per call; the worker also takes one of the
+    transposed copies.  The terms enter ``out`` in the serial order.  Each
+    product is written into a buffer of the block's size (``_csr_product``).
+    The buffers (R_ba^T, R_ab^T on a coherence block, and three products)
+    are allocated per call by the calling thread, so the worker allocates no
+    array and none of them is held while the records run: with
+    ``rk4_evolve``'s R and two registers a block of size d holds 7 d^2
+    floats while it steps.  Kept alive for the whole trajectory, the buffers
+    of a diagonal block raised the peak RSS of a fresh process running the
+    N = 8 leg (20 steps, stride 5) from 149 to 160 MB.  Made per call, they
+    cost no extra page faults: the ``rk4-n8`` benchmark process took a median
+    388 k minor faults per run against 423 k when two of them were a record
+    buffer lent by the caller.
     """
-    dim = lop.shape[0]
-    h = stacked[:dim]
+    d_a = lop.shape[0]
+    stacked_b, lop_b, half_lop_t_b = right or (stacked, lop, half_lop_t)
+    d_b = lop_b.shape[0]
+    h_a = stacked[:d_a]
+    h_b = h_a if right is None else stacked_b[:d_b]
 
-    def neg_h_rt(rt, out):
-        np.negative(_csr_product(h, rt, out), out=out)
+    def neg_h_st(st, out):
+        np.negative(_csr_product(h_a, st, out), out=out)
 
-    def rhs(r, out):
-        rt, b1, b2, b3 = np.empty((4, dim, dim))
-        h_r = pool.submit(_csr_product, h, r, b1)  # H R
-        np.copyto(rt, r.T)
-        first = pool.submit(neg_h_rt, rt, out)  # out = -H R^T
-        _csr_product(lop, rt, b2)  # L R^T
-        # the R^T buffer takes (L R^T)^T once the worker is done reading it
-        l_rt_t = pool.submit(np.copyto, rt, b2.T)
-        _csr_product(half_lop_t, b2, b3)  # 1/2 L^T (L R^T)
-        for done in (h_r, first, l_rt_t):
+    def rhs(r, out, s=None):
+        s = r if right is None else s
+        buffers = np.empty((4 if right is None else 5, d_a * d_b))
+        st = buffers[0].reshape(d_a, d_b)
+        b1, b2, b3 = (x.reshape(d_b, d_a) for x in buffers[1:4])
+        h_s = pool.submit(_csr_product, h_b, s, b1)  # H_b R_ba
+        np.copyto(st, s.T)  # R_ba^T
+        first = pool.submit(neg_h_st, st, out)  # out = -H_a R_ba^T
+        if right is None:
+            rt = st
+        else:
+            rt = buffers[4].reshape(d_b, d_a)
+            np.copyto(rt, r.T)  # R_ab^T
+        _csr_product(lop_b, rt, b2)  # L_b R_ab^T
+        # the R_ba^T buffer takes (L_b R_ab^T)^T once the worker is done reading it
+        l_rt_t = pool.submit(np.copyto, st, b2.T)
+        _csr_product(half_lop_t_b, b2, b3)  # 1/2 L_b^T (L_b R_ab^T)
+        for done in (h_s, first, l_rt_t):
             done.result()
-        l_r = pool.submit(_csr_product, lop, r, b2)
+        b1_ab, b2_ab, b3_ab = (x.reshape(d_a, d_b) for x in buffers[1:4])
+        l_r = pool.submit(_csr_product, lop, r, b2_ab)  # L_a R_ab
         np.subtract(b1, b3, out=b1)
         out += b1.T
-        last = pool.submit(_csr_product, half_lop_t, b2, b1)  # 1/2 L^T (L R)
-        out += _csr_product(lop, rt, b3)
+        last = pool.submit(_csr_product, half_lop_t, b2_ab, b1_ab)  # 1/2 L_a^T (L_a R_ab)
+        out += _csr_product(lop, st, b3_ab)
         l_r.result()
         out -= last.result()
         return out
@@ -789,22 +925,32 @@ def rk4_evolve(
     five matrix products per right-hand side (``_real_rhs``), with CSR or
     dense operands (``_real_operands``) and for parts from
     ``RK4_THREADS_FROM_DIM`` on run on two threads (``_threaded_real_rhs``;
-    dR/dt, and so every record, is bit for bit the serial result).  f is
-    linear, so a classical RK4 step of length h is the degree-4 Taylor
-    polynomial of exp(h f), here in nested form:
+    dR/dt, and so every record, is bit for bit the serial result).  From
+    ``RK4_THREADS_FROM_DIM`` states on, a state that spans both C blocks is
+    stepped as its block pairs (``_CBasis.paired``): H and L are cut into
+    the two blocks, and each block R_ab of R runs through the same serial or
+    two-thread right-hand side with block a's operands on the left and block
+    b's on the right (``_paired_rhs``), bit for bit the block of the whole
+    C basis's dR/dt.  f is linear, so a classical RK4 step of length h is
+    the degree-4 Taylor polynomial of exp(h f), here in nested form:
 
         R <- R + h f(R + h/2 f(R + h/3 f(R + h/4 f(R)))),
 
     the same four right-hand sides, evaluated in two registers per part (no
     buffers for the slopes and their sum) with eight elementwise passes, and
-    R updated in place.  The registers, dead between steps, also hold the
-    complex rho that each record decodes.  With a right-hand side's own
-    buffers a part holds 7 dim^2 floats while it steps, and the entry makes
-    no array of the sector's size beyond rho0's real state
-    (``_real_state_of``), which ``_CBasis.cut`` maps into the stepped parts
-    from their own rows of T.  The ``rk4-n8`` benchmark process peaks at
-    130.5 MB (110 MB from the vacuum) against 135.3 MB (115 MB) with three
-    step buffers and a separate record buffer.  A rho0 whose Hermiticity
+    R updated in place; the stages of a paired state run over all its blocks
+    in lockstep, and its registers are one flat buffer of 2 dim^2 floats.
+    The registers, dead between steps, also hold the complex rho that each
+    record decodes, of the whole C basis for a paired state.  With a
+    right-hand side's own buffers a block of size d holds 7 d^2 floats while
+    it steps, and a paired state of size d about 5 d^2 (tracemalloc: 4.6 d^2
+    at N = 8, 5.1 d^2 at N = 7): R and the registers, and the four or five
+    buffers of one block pair, each of that block's size: the ``rk4-n8``
+    benchmark process, whose random states are stepped so, peaks at a
+    median 122.6 MB against 130.9 MB as one matrix.  The entry makes no
+    array of the sector's size beyond rho0's real state
+    (``_real_state_of``), which ``_CBasis.cut`` (or ``cut_pairs``) maps into
+    the stepped parts from their own rows of T.  A rho0 whose Hermiticity
     error exceeds 1e-10 is refused with ValueError.
     """
     if dt <= 0 or t_max < 0:
@@ -812,13 +958,23 @@ def rk4_evolve(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = _step_count(t_max, dt)
-    c = _engine_basis(hamiltonian, lindblad_op, rho0, dict(pair_count=pair_count, electric_square=electric_square))
+    c = _engine_basis(hamiltonian, lindblad_op, rho0, dict(pair_count=pair_count, electric_square=electric_square),
+                      pairs_from=RK4_THREADS_FROM_DIM)
     operands = [_real_operands(*ops) for ops in _real_blocks(c, hamiltonian, lindblad_op)]
-    states = c.cut(_real_state_of(rho0))
-    threaded = [scipy.sparse.issparse(ops[0]) and ops[1].shape[0] >= RK4_THREADS_FROM_DIM
-                and _usable_cpus() > 1 for ops in operands]
-    # per part, the two registers of a step, which also hold a record's complex rho
-    registers = [np.empty((2,) + r.shape) for r in states]
+    r0 = _real_state_of(rho0)
+    states = [c.cut_pairs(r0)] if c.paired else c.cut(r0)
+    del r0
+    # the (left, right) parts of each stepped block: a part, or a pair of parts
+    blocks = states[0].index_pairs if c.paired else [(i, i) for i in range(len(c.parts))]
+    two_cpus = _usable_cpus() > 1
+    threaded = [two_cpus and scipy.sparse.issparse(operands[i][0]) and scipy.sparse.issparse(operands[j][0])
+                and operands[i][1].shape[0] * operands[j][1].shape[0] >= RK4_THREADS_FROM_DIM**2
+                for i, j in blocks]
+    # per part, the two registers of a step (halves of one flat buffer), which
+    # also hold a record's complex rho
+    flats = [np.empty(2 * r.size) for r in states]
+    registers = [[_BlockPairs(c.parts, half) if c.paired else half.reshape(r.shape)
+                  for half in (flat[:r.size], flat[r.size:])] for flat, r in zip(flats, states)]
 
     def step(states, k):
         for r, rhs, (w1, w2) in zip(states, rhss, registers):
@@ -829,7 +985,7 @@ def rk4_evolve(
             rhs(w1, w2)  # r += dt f(w1)
             w2 *= dt
             r += w2
-        tr = sum(float(np.trace(r)) for r in states)
+        tr = sum(float(r.trace()) for r in states)
         if not np.isfinite(tr) or abs(tr - 1.0) > TRACE_ABORT_TOL:
             raise RuntimeError(
                 f"rk4 aborted at t={k * dt:.6g}: trace deviated to {tr!r} "
@@ -839,12 +995,32 @@ def rk4_evolve(
 
     # the worker thread lives for this call only
     with ThreadPoolExecutor(max_workers=1) if any(threaded) else contextlib.nullcontext() as pool:
-        rhss = [_threaded_real_rhs(*ops, pool) if two else _real_rhs(*ops) for ops, two in zip(operands, threaded)]
+        def block_rhs(i, j, two):
+            right = None if i == j else operands[j]
+            return _threaded_real_rhs(*operands[i], pool, right) if two else _real_rhs(*operands[i], right)
+
+        rhss = [block_rhs(i, j, two) for (i, j), two in zip(blocks, threaded)]
+        if c.paired:
+            rhss = [_paired_rhs(rhss)]
         counters = {"steps": n_steps, "rhs_evaluations": 4 * n_steps * len(states),
                     "two_thread": any(threaded)}
         return _run_trajectory(c, states, step, n_steps, lambda k: k * dt, stride=stride,
-                               buffers=[w.ravel().view(complex).reshape(r.shape) for w, r in zip(registers, states)],
+                               buffers=[flat.view(complex).reshape(r.shape) for flat, r in zip(flats, states)],
                                counters=counters)
+
+
+def _paired_rhs(rhss):
+    """``rhs(x, out)`` of a ``_BlockPairs`` state from the right-hand sides
+    of its blocks (``_real_rhs``), in its order: block R_ab of ``out`` from
+    R_ab and R_ba of x.  A coherence block reads its partner, so every stage
+    of a step runs over all blocks in lockstep."""
+
+    def rhs(x, out):
+        for block_rhs, r, s, w in zip(rhss, x.blocks, x.partners, out.blocks):
+            block_rhs(r, w, s)
+        return out
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dissipative evolution: generator structure, integrators, thermal references."""
 
+import json
 import sys
 import threading
 import tracemalloc
@@ -573,6 +574,25 @@ def test_the_dense_c_maps_are_scipys_products_bit_for_bit(n_sites, truncate):
                 assert np.array_equal(c.to_sector(x), t.T @ x @ t)
 
 
+@pytest.mark.parametrize("n_sites", [2, 4, 6])
+def test_the_rows_of_each_part_are_scipys_row_slices(n_sites):
+    # the plan reads each part's rows of T off T's own arrays: the arrays and
+    # dtypes of SciPy's t[part], for the C blocks, the whole C basis and the
+    # blocks of a paired state, with P and without
+    _, sector, ops, _, _ = standard_setup(n_sites)
+    x = np.random.default_rng(n_sites).normal(size=(ops.dim, ops.dim))
+    for p in (sector.conjugation, None):
+        for rho, pairs_from in ((None, None), (x, None), (x, 1)):
+            c = lindblad._CBasis(p, ops.dim, rho, pairs_from=pairs_from)
+            assert c.paired == (pairs_from is not None and p is not None and n_sites > 2)
+            for part, rows in zip(c.parts, c.rows):
+                expected = c.t[part]
+                assert rows.shape == expected.shape
+                for name in ("data", "indices", "indptr"):
+                    got, want = getattr(rows, name), getattr(expected, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "full"])
 @pytest.mark.parametrize("n_sites", [4, 5, 6, 7, 8])
 def test_t_x_t_is_block_diagonal_with_exact_zeros_between_the_blocks(n_sites, truncate):
@@ -801,6 +821,18 @@ def test_real_state_decodes_to_an_exactly_hermitian_matrix():
     assert np.array_equal(rho.imag, 0.5 * (r - r.T))
 
 
+def test_a_symmetric_real_rho0_is_its_own_real_state():
+    # R0 made from the skew part is rho0 bit for bit, so none is made; one
+    # entry off symmetry sends rho0 through the skew part into a new array
+    x = np.random.default_rng(19).normal(size=(7, 7))
+    rho = x + x.T
+    assert lindblad._real_state_of(rho) is rho
+    assert np.array_equal(rho, rho - 0.5 * (rho - rho.T))
+    rho[0, 1] += 1e-12
+    r0 = lindblad._real_state_of(rho)
+    assert r0 is not rho and np.array_equal(r0, rho - 0.5 * (rho - rho.T))
+
+
 def _records_decoding(monkeypatch) -> list:
     """Keep a copy of every rho a record decodes."""
     decoded = []
@@ -933,41 +965,50 @@ def n7_setup():
     return standard_setup(7)
 
 
-def _rk4_threads(monkeypatch, threaded):
-    """Force ``rk4_evolve`` onto the two-thread right-hand side or off it, and
-    count the calls that build it."""
+def _rk4_threads(monkeypatch, threaded, from_dim=200):
+    """Put ``rk4_evolve``'s cut at ``from_dim`` and give it two CPUs (one
+    unless ``threaded``), and count the calls that build the two-thread
+    right-hand side."""
     built = []
     make = lindblad._threaded_real_rhs
     monkeypatch.setattr(lindblad, "_threaded_real_rhs", lambda *a: built.append(1) or make(*a))
-    monkeypatch.setattr(lindblad, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(lindblad, "RK4_THREADS_FROM_DIM", 200 if threaded else 10**9)
+    monkeypatch.setattr(lindblad, "_usable_cpus", lambda: 2 if threaded else 1)
+    monkeypatch.setattr(lindblad, "RK4_THREADS_FROM_DIM", from_dim)
     return built
 
 
 def test_two_thread_rhs_gives_the_serial_record_bit_for_bit(n7_setup, monkeypatch):
-    # N = 7 (dim 284) is above the cut; the record must not depend on it
+    # N = 7 (dim 284): with a plain H the state is one matrix above the cut;
+    # with the sector H it spans both C blocks and is stepped as its four
+    # block pairs, all of them on two threads with the cut at 90; the record
+    # must not depend on the threads
     _, _, ops, _, lop = n7_setup
     rho0 = random_density(np.random.default_rng(7), ops.dim)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=4)
-    records = []
-    for threaded in (False, True):
-        built = _rk4_threads(monkeypatch, threaded)
-        records.append(rk4_evolve(rho0, ops.hamiltonian, lop, 0.2, 0.01, **kw))
-        assert len(built) == threaded
-    serial, threaded = records
-    assert len(serial) == 6
-    for name in ("times", "n_pairs", "e2", "trace", "purity", "min_eig"):
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
-    assert serial.max_hermiticity_error == threaded.max_hermiticity_error == 0.0
+    for h, cut, blocks in ((ops.hamiltonian.matrix, 200, 1), (ops.hamiltonian, 90, 4)):
+        records = []
+        for threaded in (False, True):
+            built = _rk4_threads(monkeypatch, threaded, cut)
+            records.append(rk4_evolve(rho0, h, lop, 0.2, 0.01, **kw))
+            assert len(built) == threaded * blocks
+        serial, threaded = records
+        assert len(serial) == 6
+        for name in ("times", "n_pairs", "e2", "trace", "purity", "min_eig"):
+            assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+        assert serial.max_hermiticity_error == threaded.max_hermiticity_error == 0.0
 
 
 def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
     # the chains share buffers and are ordered only by their joins; with the
     # interpreter switching threads every microsecond and a third thread
-    # competing for the lock, every call must still give the serial dR/dt
-    _, _, ops, _, lop = n7_setup
+    # competing for the lock, every call must still give the serial dR/dt:
+    # of the whole sector, and of both coherence blocks R_eo and R_oe of the
+    # C basis, whose two transposed copies take separate buffers
+    _, sector, ops, _, lop = n7_setup
     operands = lindblad._real_operands(*map(scipy.sparse.csr_array, (ops.hamiltonian.matrix, lop)))
-    serial = lindblad._real_rhs(*operands)
+    c = lindblad._CBasis(sector.conjugation, ops.dim)
+    even, odd = (lindblad._real_operands(*block) for block in lindblad._real_blocks(c, ops.hamiltonian, lop))
+    cases = [(operands, None), (even, odd), (odd, even)]
     rng = np.random.default_rng(11)
     stop = threading.Event()
 
@@ -981,10 +1022,13 @@ def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
     spinner.start()
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            threaded = lindblad._threaded_real_rhs(*operands, pool)
-            for _ in range(10):
-                r = rng.normal(size=(ops.dim, ops.dim))
-                assert np.array_equal(threaded(r, np.empty_like(r)), serial(r, np.empty_like(r)))
+            for left, right in cases:
+                serial = lindblad._real_rhs(*left, right)
+                threaded = lindblad._threaded_real_rhs(*left, pool, right)
+                shape = (left[1].shape[0], (right or left)[1].shape[0])
+                for _ in range(5):
+                    r, s = rng.normal(size=shape), rng.normal(size=shape[::-1])
+                    assert np.array_equal(threaded(r, np.empty_like(r), s), serial(r, np.empty_like(r), s))
     finally:
         stop.set()
         sys.setswitchinterval(interval)
@@ -993,31 +1037,34 @@ def test_two_thread_rhs_holds_its_order_under_fast_thread_switching(n7_setup):
 
 
 def test_two_thread_rhs_runs_only_from_the_cut_on_and_on_two_cpus(n2_setup, n7_setup, monkeypatch):
-    # at N = 7 a state that spans both C blocks is stepped as one matrix of
-    # dim 284, above the cut (the vacuum's C-even block, 186, is below it)
-    for setup, cpus, expected in ((n2_setup, 2, 0), (n7_setup, 1, 0), (n7_setup, 2, 1)):
+    # at N = 7 a random state with a plain H is one matrix of dim 284, above
+    # the cut; with the sector H it is stepped as its block pairs, none of
+    # which reaches the cut (186 x 186 at most)
+    pairs = [[186, 186], [186, 98], [98, 186], [98, 98]]
+    for setup, plain, cpus, expected, blocks in ((n2_setup, True, 2, 0, [4]), (n7_setup, True, 1, 0, [284]),
+                                                 (n7_setup, True, 2, 1, [284]), (n7_setup, False, 2, 0, pairs)):
         _, _, ops, _, lop = setup
-        built = _rk4_threads(monkeypatch, True)
-        monkeypatch.setattr(lindblad, "_usable_cpus", lambda: cpus)
+        built = _rk4_threads(monkeypatch, cpus > 1)
         rho0 = random_density(np.random.default_rng(13), ops.dim)
-        rec = rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01,
+        rec = rk4_evolve(rho0, ops.hamiltonian.matrix if plain else ops.hamiltonian, lop, 0.01, 0.01,
                          pair_count=ops.pair_count, electric_square=ops.electric_square)
         assert len(built) == expected
         assert rec.counters["two_thread"] == bool(expected)
-        assert rec.counters["blocks"] == [ops.dim]
+        assert rec.counters["blocks"] == blocks
 
 
 def test_no_worker_thread_outlives_an_rk4_call(n7_setup, monkeypatch):
-    # a state that spans both C blocks, stepped as one matrix above the cut
+    # a random state with a plain H, stepped as one matrix above the cut
     _, _, ops, _, lop = n7_setup
+    h = ops.hamiltonian.matrix
     rho0 = random_density(np.random.default_rng(13), ops.dim)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square)
     built = _rk4_threads(monkeypatch, True)
     before = threading.active_count()
-    rk4_evolve(rho0, ops.hamiltonian, lop, 0.05, 0.01, **kw)
+    rk4_evolve(rho0, h, lop, 0.05, 0.01, **kw)
     assert threading.active_count() == before
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="aborted"):
-        rk4_evolve(rho0, ops.hamiltonian, lop, t_max=50.0, dt=5.0, **kw)
+        rk4_evolve(rho0, h, lop, t_max=50.0, dt=5.0, **kw)
     assert threading.active_count() == before
     assert len(built) == 2
 
@@ -1031,31 +1078,41 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-# what a stepped part may hold besides its 7 d^2 floats (R, two registers and
-# the four buffers of a two-thread right-hand side): the CSR operands, the
-# observables' diagonals and the record rows, 0.37 MiB at N = 8
+# what a stepped part may hold besides its floats (7 d^2 for a block: R, two
+# registers and the four buffers of a two-thread right-hand side; 5 d^2 for a
+# paired state): the CSR operands, the observables' diagonals and the record
+# rows, 0.37 MiB at N = 8
 RK4_MEMORY_SLACK = 2**19
 
 
-def test_rk4_holds_seven_arrays_of_a_state_spanning_both_blocks(n7_setup, monkeypatch):
-    # a random state at N = 7 is stepped as one matrix of dim 284, on the
-    # two-thread path, and nothing else of that size stays alive
-    _, _, ops, _, lop = n7_setup
-    rho0 = random_density(np.random.default_rng(31), ops.dim)
-    kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=2)
+@pytest.fixture(scope="module")
+def n8_setup():
+    return standard_setup(8)
+
+
+def test_rk4_holds_five_arrays_of_a_state_spanning_both_blocks(n7_setup, n8_setup, monkeypatch):
+    # a random state is stepped as its four block pairs: at N = 7 (186 + 98
+    # states) on the serial path, at N = 8 (476 + 324) on two threads.  R and
+    # the two registers hold 3 d^2 floats, a block's right-hand side at most
+    # four or five buffers of the block's size, and the record decodes rho
+    # into the registers, so nothing else of the state's size stays alive
     _rk4_threads(monkeypatch, True)
-    rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01, **kw)  # one-time imports and caches
-    rec = []
-    peak = _traced_peak(lambda: rec.append(rk4_evolve(rho0, ops.hamiltonian, lop, 0.02, 0.01, **kw)))
-    assert rec[0].counters["two_thread"] and rec[0].counters["blocks"] == [ops.dim]
-    assert peak <= 7 * ops.dim**2 * 8 + RK4_MEMORY_SLACK
+    for (_, _, ops, _, lop), two_thread in ((n7_setup, False), (n8_setup, True)):
+        rho0 = random_density(np.random.default_rng(31), ops.dim)
+        kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=2)
+        rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01, **kw)  # one-time imports and caches
+        rec = []
+        peak = _traced_peak(lambda: rec.append(rk4_evolve(rho0, ops.hamiltonian, lop, 0.02, 0.01, **kw)))
+        assert rec[0].counters["two_thread"] == two_thread
+        assert len(rec[0].counters["blocks"]) == 4
+        assert peak <= 5 * ops.dim**2 * 8 + RK4_MEMORY_SLACK, ops.dim
 
 
-def test_rk4_enters_the_eight_site_vacuum_below_its_step_peak(monkeypatch):
+def test_rk4_enters_the_eight_site_vacuum_below_its_step_peak(n8_setup, monkeypatch):
     # the N = 8 vacuum steps only the C-even block (476 of 800 states): the
     # entry (plan, R0 and its cut) makes no array that outweighs the block's
     # seven, and the steps hold no more than those seven
-    _, _, ops, _, lop = standard_setup(8)
+    _, _, ops, _, lop = n8_setup
     rho0 = DensityMatrix.pure_state(ops.dim, 0)
     kw = dict(pair_count=ops.pair_count, electric_square=ops.electric_square, stride=2)
     _rk4_threads(monkeypatch, True)
@@ -1064,6 +1121,73 @@ def test_rk4_enters_the_eight_site_vacuum_below_its_step_peak(monkeypatch):
     entry = _traced_peak(lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.0, 0.01, **kw))
     stepped = _traced_peak(lambda: rk4_evolve(rho0, ops.hamiltonian, lop, 0.02, 0.01, **kw))
     assert entry < stepped <= 7 * 476**2 * 8 + RK4_MEMORY_SLACK
+
+
+def test_a_paired_state_is_stepped_as_the_whole_c_basis_is(n8_setup):
+    # N = 8: a state that spans both C blocks is stepped as its four block
+    # pairs.  The reference steps the whole C basis as one matrix: the C-basis
+    # cuts of H and L as plain CSR matrices, so P is the identity and each
+    # row keeps the order of its entries, and the observables as the
+    # diagonals the record reads.  dR/dt, serial and on two threads, is the
+    # reference's bit for bit on a random R, so the runs step the same R and
+    # min_eig, read off the same decoded rho, is too; the sums over the
+    # blocks differ from the whole matrix's by rounding
+    _, sector, ops, _, lop = n8_setup
+    c = lindblad._CBasis(sector.conjugation, ops.dim)
+    whole = [c.t @ lindblad._real_csr(x, "x") @ c.t.T for x in (ops.hamiltonian, lop)]
+    operands = [lindblad._real_operands(*block) for block in lindblad._real_blocks(c, ops.hamiltonian, lop)]
+    x = np.random.default_rng(8).normal(size=(ops.dim, ops.dim))
+    paired = lindblad._CBasis(sector.conjugation, ops.dim, x, pairs_from=lindblad.RK4_THREADS_FROM_DIM)
+    assert paired.paired and paired.parts == c.parts
+    r, r_whole = paired.cut_pairs(x), np.ascontiguousarray(lindblad._sandwich(c.t, x))
+    expected = lindblad._real_rhs(*lindblad._real_operands(*whole))(r_whole, np.empty_like(r_whole))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for make in (lindblad._real_rhs, lambda *ops, right: lindblad._threaded_real_rhs(*ops, pool, right)):
+            rhs = lindblad._paired_rhs([make(*operands[i], right=None if i == j else operands[j])
+                                        for i, j in r.index_pairs])
+            w = rhs(r, lindblad._BlockPairs(c.parts))
+            for (a, b), block, dr in zip(r.pairs, r.blocks, w.blocks):
+                assert np.array_equal(block, r_whole[a, b])
+                assert np.array_equal(dr, expected[a, b])
+    # a random diagonal rho0 that breaks P couples each pair's (a + b)/sqrt 2
+    # and (a - b)/sqrt 2 states; its R0 in the C basis is symmetric bit for
+    # bit, so it is the reference's R0 as it is
+    weights = np.random.default_rng(9).random(ops.dim)
+    rho0 = np.diag(weights / weights.sum())
+    r0 = np.ascontiguousarray(lindblad._sandwich(c.t, rho0))
+    assert np.array_equal(r0, r0.T)
+    reads = {name: np.diag(np.diagonal(m.matrix)[c.order])
+             for name, m in (("pair_count", ops.pair_count), ("electric_square", ops.electric_square))}
+    paired = rk4_evolve(rho0, ops.hamiltonian, lop, 0.04, 0.01, stride=2,
+                        pair_count=ops.pair_count, electric_square=ops.electric_square)
+    reference = rk4_evolve(r0, *whole, 0.04, 0.01, stride=2, **reads)
+    assert paired.counters["blocks"] == [[476, 476], [476, 324], [324, 476], [324, 324]]
+    assert reference.counters["blocks"] == [800]
+    assert np.array_equal(paired.min_eig, reference.min_eig)
+    assert paired.purity[-1] < paired.purity[0]
+    for name in ("times", "n_pairs", "e2", "trace", "purity"):
+        assert np.max(np.abs(getattr(paired, name) - getattr(reference, name))) <= 1e-14, name
+
+
+def test_the_record_and_the_sidecar_list_the_stepped_block_pairs(n8_setup, tmp_path):
+    _, _, ops, _, lop = n8_setup
+    rho0 = _pure(np.random.default_rng(8), ops.dim)
+    rec = rk4_evolve(rho0, ops.hamiltonian, lop, 0.01, 0.01,
+                     pair_count=ops.pair_count, electric_square=ops.electric_square)
+    pairs = [[476, 476], [476, 324], [324, 476], [324, 324]]
+    assert rec.counters == {"two_thread": lindblad._usable_cpus() > 1, "steps": 1, "rhs_evaluations": 4,
+                            "records": 2, "blocks": pairs}
+    gibbs = {"e2": 0.0, "n_pairs": 0.0, "c_even": {"e2": 0.0, "n_pairs": 0.0}}
+    cli._write_outputs(tmp_path / "run.csv", rec, {}, gibbs, 0.0)
+    assert json.loads(cli._sidecar_path(tmp_path / "run.csv").read_text())["counters"]["blocks"] == pairs
+
+
+def test_the_lindblad_operator_holds_two_arrays_of_the_sector(n7_setup):
+    # L is formed in the commutator's array, beside one temporary of H's size
+    spec, _, ops, bath, lop = n7_setup
+    args = (ops.hamiltonian, ops.condensate, spec, ModelParams(a=1.0, e=1.0, m=0.1), bath)
+    assert np.array_equal(build_lindblad_operator(*args), lop)
+    assert _traced_peak(lambda: build_lindblad_operator(*args)) <= 2 * ops.dim**2 * 8 + 2**17
 
 
 def _real_taylor_step(lv, r, h):
@@ -1112,10 +1236,10 @@ def test_two_hundred_nested_rk4_steps_follow_the_classic_form(monkeypatch):
     assert worst < 1e-13
 
 
-def test_the_engine_plan_checks_csr_operators_without_densifying_them():
+def test_the_engine_plan_checks_csr_operators_without_densifying_them(n8_setup):
     # N = 8 (dim 800): with arrays the plan's commutation check copies H; with
     # CSR H, L and observables it reads them as they are, for the same plan
-    _, sector, ops, _, lop = standard_setup(8)
+    _, sector, ops, _, lop = n8_setup
     h = ops.hamiltonian
     arrays = (h, lop, dict(pair_count=ops.pair_count, electric_square=ops.electric_square))
     csr = (HermitianOperator(scipy.sparse.csr_array(h.matrix), h.basis_tag, sector.conjugation),
